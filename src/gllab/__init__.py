@@ -30,9 +30,8 @@ from .potential import (CumulantGenerator, EnvelopeTable, Potential,
 from .rare_events import (ExperimentReport, Functional, SteeringPlan,
                           TrendRow, importance_sampled_expectation,
                           laplace_functional_mc, ldp_trend_study,
-                          plain_expectation, simple_control_from_grid,
-                          sine_target_field, steering_plan, trend_gaps,
-                          variational_upper_bound)
+                          plain_expectation, sine_target_field, steering_plan,
+                          trend_gaps, variational_upper_bound)
 from .rate import (RateDecomposition, dynamic_cost_via_seminorm,
                    h_minus_one_seminorm, initial_cost, minimal_control, rate)
 
@@ -56,7 +55,7 @@ __all__ = [
     "measure_path_to_csv", "minimal_control", "minimal_control_embedding",
     "path_from_density_slices", "path_from_record", "plain_expectation",
     "quartic_potential", "rate", "sample_initial_from_profile",
-    "sample_initial_matrix", "simple_control_from_grid", "simulate_replicas",
+    "sample_initial_matrix", "simulate_replicas",
     "simulate_trajectory", "sine_target_field", "solve_controlled_pde",
     "stable_dt", "steering_plan", "tilted_constant_profile", "tilted_profile",
     "tilted_sine_profile", "trend_gaps", "variational_upper_bound",

@@ -115,9 +115,18 @@ def _parse_float(cfg, section, key):
         raise ConfigInvalid(f"[{section}] {key} must be a number")
 
 
-def _parse_int(cfg, section, key, minimum=1):
+def _parse_positive(cfg, section, key):
+    v = _parse_float(cfg, section, key)
+    if not (math.isfinite(v) and v > 0):
+        raise ConfigInvalid(f"[{section}] {key} must be finite and positive")
+    return v
+
+
+def _parse_int(cfg, section, key, minimum=1, text=None):
+    """The integer at [section] key, or in ``text`` (one entry of a
+    comma-separated value) when given."""
     try:
-        v = int(cfg[section][key])
+        v = int(cfg[section][key] if text is None else text)
     except ValueError:
         raise ConfigInvalid(f"[{section}] {key} must be an integer")
     if v < minimum:
@@ -144,14 +153,13 @@ def _parse_spec(text: str, what: str):
 
 def build_potential(cfg):
     name = cfg["potential"]["name"]
-    if name == "gaussian":
-        return make_potential("gaussian")
-    if name == "quartic":
-        return make_potential(
-            "quartic",
-            a=_parse_float(cfg, "potential", "quartic_a"),
-            b=_parse_float(cfg, "potential", "quartic_b"))
-    raise ConfigInvalid(f"unknown potential name {name!r}")
+    params = {} if name != "quartic" else {
+        "a": _parse_float(cfg, "potential", "quartic_a"),
+        "b": _parse_float(cfg, "potential", "quartic_b")}
+    try:
+        return make_potential(name, **params)
+    except ValueError as exc:
+        raise ConfigInvalid(f"[potential] {exc}")
 
 
 def build_profile(pot, spec: str):
@@ -171,25 +179,6 @@ def build_profile(pot, spec: str):
     raise ConfigInvalid(f"unknown profile {name!r}")
 
 
-def build_site_control(spec: str, n_sites: int, horizon: float):
-    name, arg = _parse_spec(spec, "control")
-    if name == "none":
-        return None
-    if arg is None:
-        raise ConfigInvalid(f"control {name!r} needs an amplitude")
-    theta = np.arange(1, n_sites + 1) / n_sites
-    if name == "constant":
-        return SimpleControl.constant(arg, n_sites, horizon)
-    if name == "cosine":
-        row = arg * np.cos(2.0 * np.pi * theta)
-    elif name == "sine":
-        row = arg * np.sin(2.0 * np.pi * theta)
-    else:
-        raise ConfigInvalid(f"unknown control {name!r}")
-    return SimpleControl(np.asarray([0.0, horizon]), row[None, :],
-                         float(np.max(np.abs(row))) + 1e-12)
-
-
 def build_field_function(spec: str, what: str):
     name, arg = _parse_spec(spec, what)
     if name == "none":
@@ -203,6 +192,16 @@ def build_field_function(spec: str, what: str):
     if name == "cosine":
         return lambda th: arg * np.cos(2.0 * np.pi * np.asarray(th))
     raise ConfigInvalid(f"unknown {what} {name!r}")
+
+
+def build_site_control(spec: str, n_sites: int, horizon: float):
+    """The field ``spec`` names, constant in time, embedded as a one-piece
+    simple control (None for 'none')."""
+    u = build_field_function(spec, "control")
+    if u is None:
+        return None
+    return SimpleControl.from_function(lambda t, th: u(th), n_sites, horizon,
+                                       n_pieces=1)
 
 
 def write_manifest(cfg, subcommand: str, out_dir: Path):
@@ -231,18 +230,12 @@ def cmd_simulate(cfg, args) -> int:
     pot = build_potential(cfg)
     out = _resolve_outdir(cfg, args)
     n = _parse_int(cfg, "simulate", "n_sites")
-    horizon = _parse_float(cfg, "simulate", "horizon")
+    horizon = _parse_positive(cfg, "simulate", "horizon")
     snapshots = _parse_int(cfg, "simulate", "snapshots", 2)
     replicas = _parse_int(cfg, "simulate", "replicas")
     seed = _parse_int(cfg, "run", "seed", 0)
-    dt_text = cfg["simulate"]["dt"]
-    if dt_text == "auto":
-        dt = stable_dt(pot, n)
-    else:
-        try:
-            dt = float(dt_text)
-        except ValueError:
-            raise ConfigInvalid("[simulate] dt must be a number or 'auto'")
+    dt = stable_dt(pot, n) if cfg["simulate"]["dt"] == "auto" \
+        else _parse_positive(cfg, "simulate", "dt")
     config = SimConfig(n, horizon, dt, seed=seed)
     profile = build_profile(pot, cfg["simulate"]["profile"])
     control = build_site_control(cfg["simulate"]["control"], n, horizon)
@@ -263,15 +256,14 @@ def cmd_simulate(cfg, args) -> int:
 
 def _solve_field_from_cfg(cfg, section, pot):
     j_cells = _parse_int(cfg, section, "j_cells", 4)
-    horizon = _parse_float(cfg, section, "horizon")
+    horizon = _parse_positive(cfg, section, "horizon")
     m0_fn = build_field_function(cfg[section]["m0"], "m0")
     if m0_fn is None:
         raise ConfigInvalid(f"[{section}] m0 must not be 'none'")
-    steps_text = cfg[section]["n_steps"]
-    if steps_text == "auto":
+    if cfg[section]["n_steps"] == "auto":
         n_steps = cfl_time_steps(pot, m0_fn, j_cells, horizon)
     else:
-        n_steps = int(steps_text)
+        n_steps = _parse_int(cfg, section, "n_steps")
     u_fn = build_field_function(cfg[section]["control"], "control")
     u = None
     if u_fn is not None:
@@ -280,13 +272,13 @@ def _solve_field_from_cfg(cfg, section, pot):
     theta = np.arange(j_cells) / j_cells
     field = solve_controlled_pde(pot, m0_fn(theta), u, horizon=horizon,
                                  j_cells=j_cells, n_steps=n_steps)
-    return field, u
+    return field
 
 
 def cmd_pde(cfg, args) -> int:
     pot = build_potential(cfg)
     out = _resolve_outdir(cfg, args)
-    field, _ = _solve_field_from_cfg(cfg, "pde", pot)
+    field = _solve_field_from_cfg(cfg, "pde", pot)
     with open(out / "field.csv", "w") as fh:
         field.to_csv(fh)
     write_manifest(cfg, "pde", out)
@@ -298,7 +290,7 @@ def cmd_pde(cfg, args) -> int:
 def cmd_rate(cfg, args) -> int:
     pot = build_potential(cfg)
     out = _resolve_outdir(cfg, args)
-    field, _ = _solve_field_from_cfg(cfg, "rate", pot)
+    field = _solve_field_from_cfg(cfg, "rate", pot)
     decomposition = rate(pot, field)
     with open(out / "rate.csv", "w") as fh:
         fh.write(RateDecomposition.CSV_HEADER + "\n")
@@ -314,16 +306,18 @@ def cmd_rate(cfg, args) -> int:
 def cmd_ldp(cfg, args) -> int:
     pot = build_potential(cfg)
     out = _resolve_outdir(cfg, args)
+    n_list = [_parse_int(cfg, "ldp", "n_list", text=tok)
+              for tok in cfg["ldp"]["n_list"].split(",")]
     try:
-        n_list = [int(tok) for tok in cfg["ldp"]["n_list"].split(",")]
         targets = [float(tok) for tok in cfg["ldp"]["family"].split(",")]
     except ValueError:
-        raise ConfigInvalid("[ldp] n_list / family must be comma-separated "
-                            "numbers")
-    horizon = _parse_float(cfg, "ldp", "horizon")
+        raise ConfigInvalid("[ldp] family must be comma-separated numbers")
+    if not all(map(math.isfinite, targets)):
+        raise ConfigInvalid("[ldp] family entries must be finite")
+    horizon = _parse_positive(cfg, "ldp", "horizon")
     replicas = _parse_int(cfg, "ldp", "replicas")
     target = _parse_float(cfg, "ldp", "target")
-    bound = _parse_float(cfg, "ldp", "bound")
+    bound = _parse_positive(cfg, "ldp", "bound")
     seed = _parse_int(cfg, "run", "seed", 0)
     workers = _parse_int(cfg, "run", "workers")
 

@@ -29,7 +29,8 @@ class NonFiniteField(GLLabError):
 
 
 class CFLViolation(GLLabError):
-    """Requested PDE time step violates the explicit-scheme CFL bound."""
+    """Requested time step violates an explicit scheme's step bound: the
+    PDE's CFL bound or the particle system's dt <= c/N^2 stability rule."""
 
 
 class SizeCapExceeded(GLLabError):

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteState
+from .errors import CFLViolation, NonFiniteState
 from .potential import Potential, TiltedFamilySampler
 
 DEFAULT_STABILITY_SAFETY = 0.1
@@ -64,7 +64,6 @@ class SimConfig:
     horizon: float
     dt: float
     seed: int = 0
-    scheme: str = "euler_maruyama"
     stability_constant: float | None = None
 
     def __post_init__(self):
@@ -72,8 +71,6 @@ class SimConfig:
             raise ValueError("n_sites must be positive")
         if not (self.horizon > 0 and self.dt > 0):
             raise ValueError("horizon and dt must be positive")
-        if self.scheme != "euler_maruyama":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
     def validate_stability(self, pot: Potential):
         c = self.stability_constant
@@ -81,7 +78,7 @@ class SimConfig:
             c = DEFAULT_STABILITY_SAFETY / pot.max_phi_double_prime()
         limit = c / self.n_sites ** 2
         if self.dt > limit * (1 + 1e-12):
-            raise ValueError(
+            raise CFLViolation(
                 f"dt={self.dt:g} exceeds stability limit {limit:g} "
                 f"(= c/N^2 with c={c:g}, N={self.n_sites})")
 
@@ -89,10 +86,10 @@ class SimConfig:
         return max(1, int(round(self.horizon / self.dt)))
 
 
-def stable_dt(pot: Potential, n_sites: int,
-              safety: float = DEFAULT_STABILITY_SAFETY) -> float:
-    """Largest dt the stability rule allows for this potential and N."""
-    return safety / pot.max_phi_double_prime() / n_sites ** 2
+def stable_dt(pot: Potential, n_sites: int) -> float:
+    """Largest dt the default stability rule allows for this potential."""
+    return (DEFAULT_STABILITY_SAFETY / pot.max_phi_double_prime()
+            / n_sites ** 2)
 
 
 @dataclass(frozen=True)
@@ -136,12 +133,12 @@ class SimpleControl:
         return self.values[j]
 
     @classmethod
-    def constant(cls, value, n_sites: int, horizon: float,
-                 bound: float | None = None) -> "SimpleControl":
+    def constant(cls, value, n_sites: int,
+                 horizon: float) -> "SimpleControl":
         row = np.broadcast_to(np.asarray(value, dtype=float),
                               (n_sites,)).copy()
-        b = bound if bound is not None else float(np.max(np.abs(row)))
-        return cls(np.asarray([0.0, horizon]), row[None, :], b)
+        return cls(np.asarray([0.0, horizon]), row[None, :],
+                   float(np.max(np.abs(row))))
 
     @classmethod
     def from_function(cls, u: Callable, n_sites: int, horizon: float,
@@ -161,7 +158,7 @@ class SimpleControl:
         return cls(bp, vals, b)
 
 
-# -- single-step kernels ----------------------------------------------------
+# -- the engine ---------------------------------------------------------------
 
 
 def _advance(pot: Potential, charges: np.ndarray, dt: float,
@@ -169,7 +166,7 @@ def _advance(pot: Potential, charges: np.ndarray, dt: float,
     """One explicit step on charges of shape (..., N).
 
     Returns (new_charges, log_weight_increment, cost_increment); the
-    increments are zeros when psi is None.
+    increments are None when psi is None.
     """
     n = charges.shape[-1]
     sqdt = math.sqrt(dt)
@@ -181,34 +178,100 @@ def _advance(pot: Potential, charges: np.ndarray, dt: float,
     dz = drift + n * db
     new = charges + dz - np.roll(dz, -1, axis=-1)
     if psi is None:
-        zero = np.zeros(charges.shape[:-1])
-        return new, zero, zero
-    logw = -np.sum(psi * sqdt * noise, axis=-1) \
-        - 0.5 * np.sum(psi ** 2, axis=-1) * dt
+        return new, None, None
     cost = 0.5 * np.sum(psi ** 2, axis=-1) * dt
+    logw = -np.sum(psi * sqdt * noise, axis=-1) - cost
     return new, logw, cost
 
 
-def step_uncontrolled(pot: Potential, state: LatticeState, dt: float,
-                      rng: np.random.Generator) -> LatticeState:
-    """One conservative Euler-Maruyama step of the uncontrolled system."""
-    noise = rng.standard_normal(state.n_sites)
-    new, _, _ = _advance(pot, state.charges, dt, noise, None)
-    if not np.all(np.isfinite(new)):
-        raise NonFiniteState(f"state blew up at t={state.time + dt:g}")
-    return LatticeState(new, state.time + dt)
+@dataclass(frozen=True)
+class ReplicaBatch:
+    """Vectorized ensemble run: pairings, weights, costs per replica.
+
+    ``log_weight_path``/``cost_path`` hold each replica's running totals at
+    the sample times; ``log_weights``/``costs`` are the end-of-horizon
+    values.
+    """
+
+    sample_times: np.ndarray          # (S,)
+    pairings: np.ndarray              # (n_fns, S, M)
+    log_weights: np.ndarray           # (M,)
+    costs: np.ndarray                 # (M,)
+    log_weight_path: np.ndarray       # (S, M)
+    cost_path: np.ndarray             # (S, M)
+    states: np.ndarray | None = None  # (S, M, N) if recorded
+    wall_time: float = 0.0
 
 
-def step_controlled(pot: Potential, state: LatticeState,
-                    control_values: np.ndarray, dt: float,
-                    rng: np.random.Generator):
-    """One controlled step; returns (state, log_weight_inc, cost_inc)."""
-    psi = np.asarray(control_values, dtype=float)
-    noise = rng.standard_normal(state.n_sites)
-    new, logw, cost = _advance(pot, state.charges, dt, noise, psi)
-    if not np.all(np.isfinite(new)):
-        raise NonFiniteState(f"state blew up at t={state.time + dt:g}")
-    return LatticeState(new, state.time + dt), float(logw), float(cost)
+def _run(pot: Potential, config: SimConfig, charges: np.ndarray,
+         control: SimpleControl | None, sample_times: Sequence[float] | None,
+         rng, pairing_functions: Sequence[Callable] = (),
+         record_states: bool = False) -> ReplicaBatch:
+    """March an (M, N) charge array over the horizon: the one stepping loop.
+
+    Every step draws one (M, N) normal block from ``rng``.  Sample times
+    snap to the nearest step-grid point; at each one the pairings with
+    ``pairing_functions`` (at site positions i/N), the running Girsanov
+    log weights and costs, and optionally the states are recorded.
+    Weights and costs stay zero without a control.
+    """
+    config.validate_stability(pot)
+    m, n = charges.shape
+    if n != config.n_sites:
+        raise ValueError("initial state size does not match config")
+    if control is not None and control.n_sites != n:
+        raise ValueError("control width does not match config")
+    n_steps = config.n_steps()
+    dt = config.horizon / n_steps
+    if sample_times is None:
+        sample_times = [0.0, config.horizon]
+    sample_idx = np.clip(np.round(np.asarray(sample_times, dtype=float) / dt)
+                         .astype(int), 0, n_steps)
+    lookup = {}
+    for pos, idx in enumerate(sample_idx):
+        lookup.setdefault(int(idx), []).append(pos)
+
+    theta_sites = np.arange(1, n + 1) / n
+    j_vals = [np.asarray(fn(theta_sites), dtype=float)
+              for fn in pairing_functions]
+    s = len(sample_idx)
+    pairings = np.empty((len(j_vals), s, m))
+    states = np.empty((s, m, n)) if record_states else None
+    logw_path = np.empty((s, m))
+    cost_path = np.empty((s, m))
+    logw = np.zeros(m)
+    cost = np.zeros(m)
+
+    def record(step_index):
+        for pos in lookup.get(step_index, ()):
+            for q, jv in enumerate(j_vals):
+                pairings[q, pos] = charges @ jv / n
+            if states is not None:
+                states[pos] = charges
+            logw_path[pos] = logw
+            cost_path[pos] = cost
+
+    record(0)
+    for k in range(n_steps):
+        psi = control.values_at(k * dt) if control is not None else None
+        noise = rng.standard_normal(charges.shape)
+        charges, dlogw, dcost = _advance(pot, charges, dt, noise, psi)
+        if not np.all(np.isfinite(charges)):
+            raise NonFiniteState(f"state blew up at step {k + 1}")
+        if psi is not None:
+            logw += dlogw
+            cost += dcost
+        record(k + 1)
+
+    return ReplicaBatch(
+        sample_times=sample_idx * dt,
+        pairings=pairings,
+        log_weights=logw,
+        costs=cost,
+        log_weight_path=logw_path,
+        cost_path=cost_path,
+        states=states,
+    )
 
 
 # -- trajectories ------------------------------------------------------------
@@ -252,65 +315,24 @@ def simulate_trajectory(pot: Potential, config: SimConfig,
                         ) -> TrajectoryRecord:
     """Run one trajectory, recording snapshots at the requested times.
 
-    Sample times snap to the nearest step-grid point.  With a fixed seed
-    the output is bit-identical across runs; pass an explicit rng to
-    manage replica streams externally.
+    This is the engine on a single replica (a (1, N) charge array, whose
+    noise stream equals an (N,) draw).  Sample times snap to the nearest
+    step-grid point.  With a fixed seed the output is bit-identical across
+    runs; pass an explicit rng to manage replica streams externally.
     """
-    config.validate_stability(pot)
     if not isinstance(initial, LatticeState):
         initial = LatticeState(np.asarray(initial, dtype=float))
-    if initial.n_sites != config.n_sites:
-        raise ValueError("initial state size does not match config")
-    if control is not None and control.n_sites != config.n_sites:
-        raise ValueError("control width does not match config")
     if rng is None:
         rng = np.random.default_rng(config.seed)
-
-    n_steps = config.n_steps()
-    dt = config.horizon / n_steps
-    if sample_times is None:
-        sample_times = [0.0, config.horizon]
-    sample_idx = np.clip(np.round(np.asarray(sample_times, dtype=float) / dt)
-                         .astype(int), 0, n_steps)
-    lookup = {}
-    for pos, idx in enumerate(sample_idx):
-        lookup.setdefault(int(idx), []).append(pos)
-
-    s = len(sample_idx)
-    states = np.empty((s, config.n_sites))
-    logw_path = np.empty(s)
-    cost_path = np.empty(s)
-
-    charges = initial.charges.copy()
-    logw = 0.0
-    cost = 0.0
-    for pos in lookup.get(0, []):
-        states[pos] = charges
-        logw_path[pos] = logw
-        cost_path[pos] = cost
-
-    t = 0.0
-    for k in range(n_steps):
-        psi = control.values_at(t) if control is not None else None
-        noise = rng.standard_normal(config.n_sites)
-        charges, dlogw, dcost = _advance(pot, charges, dt, noise, psi)
-        if not np.all(np.isfinite(charges)):
-            raise NonFiniteState(f"state blew up at step {k + 1}")
-        logw += float(dlogw)
-        cost += float(dcost)
-        t = (k + 1) * dt
-        for pos in lookup.get(k + 1, []):
-            states[pos] = charges
-            logw_path[pos] = logw
-            cost_path[pos] = cost
-
+    run = _run(pot, config, initial.charges[None, :], control, sample_times,
+               rng, record_states=True)
     return TrajectoryRecord(
-        sample_times=sample_idx * dt,
-        states=states,
-        girsanov_log_weight=logw,
-        control_cost=cost,
-        log_weight_path=logw_path,
-        cost_path=cost_path,
+        sample_times=run.sample_times,
+        states=run.states[:, 0],
+        girsanov_log_weight=float(run.log_weights[0]),
+        control_cost=float(run.costs[0]),
+        log_weight_path=run.log_weight_path[:, 0],
+        cost_path=run.cost_path[:, 0],
     )
 
 
@@ -415,8 +437,7 @@ def _cell_positions(n_sites: int, shape, rng: np.random.Generator):
 def sample_initial_from_profile(profile: ProfileMeasure, n_sites: int,
                                 rng: np.random.Generator) -> LatticeState:
     """Draw one initial state whose site laws are the exact cell averages."""
-    theta = _cell_positions(n_sites, (), rng)
-    return LatticeState(profile.conditional_sampler(theta, rng), 0.0)
+    return LatticeState(sample_initial_matrix(profile, n_sites, 1, rng)[0])
 
 
 def sample_initial_matrix(profile: ProfileMeasure, n_sites: int,
@@ -448,18 +469,6 @@ def entropy_cost_of_profile(profile: ProfileMeasure, n_sites: int) -> float:
 # -- batched replicas ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReplicaBatch:
-    """Vectorized ensemble run: pairings, weights, costs per replica."""
-
-    sample_times: np.ndarray          # (S,)
-    pairings: np.ndarray              # (n_fns, S, M)
-    log_weights: np.ndarray           # (M,)
-    costs: np.ndarray                 # (M,)
-    states: np.ndarray | None = None  # (S, M, N) if recorded
-    wall_time: float = 0.0
-
-
 def simulate_replicas(pot: Potential, config: SimConfig,
                       profile: ProfileMeasure,
                       n_replicas: int,
@@ -468,65 +477,18 @@ def simulate_replicas(pot: Potential, config: SimConfig,
                       pairing_functions: Sequence[Callable] = (),
                       record_states: bool = False,
                       rng: np.random.Generator | None = None) -> ReplicaBatch:
-    """Run n_replicas trajectories in one vectorized sweep.
+    """Run n_replicas trajectories in one vectorized sweep of the engine.
 
-    All replicas share a single stream (one (M, N) normal block per
-    step), which keeps large ensembles fast; the result is deterministic
-    for a fixed seed.  Pairings against the given test functions are
-    accumulated at the snapshot times so callers rarely need full states.
+    All replicas share a single stream (the initial matrix, then one
+    (M, N) normal block per step), which keeps large ensembles fast; the
+    result is deterministic for a fixed seed.  Pairings against the given
+    test functions are accumulated at the snapshot times so callers rarely
+    need full states.  ``wall_time`` includes the initial draw.
     """
-    config.validate_stability(pot)
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    n = config.n_sites
-    n_steps = config.n_steps()
-    dt = config.horizon / n_steps
     start = _time.perf_counter()
-
-    if sample_times is None:
-        sample_times = [0.0, config.horizon]
-    sample_idx = np.clip(np.round(np.asarray(sample_times, dtype=float) / dt)
-                         .astype(int), 0, n_steps)
-    lookup = {}
-    for pos, idx in enumerate(sample_idx):
-        lookup.setdefault(int(idx), []).append(pos)
-
-    theta_sites = np.arange(1, n + 1) / n
-    j_vals = [np.asarray(fn(theta_sites), dtype=float)
-              for fn in pairing_functions]
-
-    charges = sample_initial_matrix(profile, n, n_replicas, rng)
-    logw = np.zeros(n_replicas)
-    cost = np.zeros(n_replicas)
-
-    s = len(sample_idx)
-    pairings = np.empty((len(j_vals), s, n_replicas))
-    states = np.empty((s, n_replicas, n)) if record_states else None
-
-    def record(step_index):
-        for pos in lookup.get(step_index, []):
-            for q, jv in enumerate(j_vals):
-                pairings[q, pos] = charges @ jv / n
-            if states is not None:
-                states[pos] = charges
-
-    record(0)
-    for k in range(n_steps):
-        psi = control.values_at(k * dt) if control is not None else None
-        noise = rng.standard_normal((n_replicas, n))
-        charges, dlogw, dcost = _advance(pot, charges, dt, noise, psi)
-        if not np.all(np.isfinite(charges)):
-            raise NonFiniteState(f"ensemble blew up at step {k + 1}")
-        if psi is not None:
-            logw += dlogw
-            cost += dcost
-        record(k + 1)
-
-    return ReplicaBatch(
-        sample_times=sample_idx * dt,
-        pairings=pairings,
-        log_weights=logw,
-        costs=cost,
-        states=states,
-        wall_time=_time.perf_counter() - start,
-    )
+    charges = sample_initial_matrix(profile, config.n_sites, n_replicas, rng)
+    batch = _run(pot, config, charges, control, sample_times, rng,
+                 pairing_functions, record_states)
+    return replace(batch, wall_time=_time.perf_counter() - start)

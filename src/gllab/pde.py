@@ -83,6 +83,15 @@ class ControlGrid:
         vals = np.stack([np.asarray(u(t, theta), dtype=float) for t in times])
         return cls(vals, horizon)
 
+    def lookup(self, t: float, theta) -> np.ndarray:
+        """Grid value at time t and positions theta: the slice whose left
+        endpoint is the last one at or before t, and the nearest cell
+        node (theta = 1 wraps to cell 0)."""
+        kdx = min(int(t / self.dt + 1e-9), self.n_steps - 1)
+        jdx = np.round(np.asarray(theta) * self.j_cells).astype(int) \
+            % self.j_cells
+        return self.values[kdx, jdx]
+
     def face_values(self, k: int) -> np.ndarray:
         """Right-face value for each cell on time slice k."""
         row = self.values[k]

@@ -10,8 +10,8 @@ the infimum, over initial profiles and simple controls, of
 Every admissible (profile, control) pair therefore yields an upper bound
 on the Laplace functional at the same N; the trend study tracks how the
 best bound from a parametric control family approaches the plain Monte
-Carlo estimate as N grows, with the deterministic limit value
-inf {F + rate} alongside.
+Carlo estimate as N grows, with the smallest F + rate over the family
+alongside (an upper estimate of the deterministic limit inf {F + rate}).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .particles import (ProfileMeasure, ReplicaBatch, SimConfig,
                         SimpleControl, entropy_cost_of_profile,
                         equilibrium_profile, simulate_replicas, stable_dt,
                         tilted_profile)
-from .pde import ControlGrid, DensityField, cfl_time_steps, solve_controlled_pde
+from .pde import ControlGrid, DensityField, cfl_time_steps
 from .potential import Potential
 from .rate import minimal_control, rate
 
@@ -92,11 +92,17 @@ class ExperimentReport:
     CSV_HEADER = "method,N,M,estimate,std_error,wall_time_s,seed"
 
 
-def _snapshot_times(config: SimConfig, functional: Functional,
-                    snapshot_count: int = 9):
+def _snapshot_times(config: SimConfig, functional: Functional):
     if functional.kind == "pairing_at_end":
         return [0.0, config.horizon]
-    return list(np.linspace(0.0, config.horizon, snapshot_count))
+    return list(np.linspace(0.0, config.horizon, 9))
+
+
+def _mean_and_se(samples: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error (zero for a single sample)."""
+    m = samples.size
+    se = float(np.std(samples, ddof=1)) / math.sqrt(m) if m > 1 else 0.0
+    return float(np.mean(samples)), se
 
 
 def _run_batch(pot, config, profile, n_replicas, functional, control=None,
@@ -151,10 +157,7 @@ def importance_sampled_expectation(pot: Potential, functional: Functional,
     start = _time.perf_counter()
     batch, g_vals = _run_batch(pot, config, profile, n_replicas, functional,
                                control=control, rng=rng)
-    vals = g_vals * np.exp(batch.log_weights)
-    estimate = float(np.mean(vals))
-    std_error = float(np.std(vals, ddof=1)) / math.sqrt(n_replicas) \
-        if n_replicas > 1 else 0.0
+    estimate, std_error = _mean_and_se(g_vals * np.exp(batch.log_weights))
     return ExperimentReport("importance_sampling", config.n_sites, n_replicas,
                             estimate, std_error,
                             _time.perf_counter() - start, config.seed)
@@ -169,9 +172,7 @@ def plain_expectation(pot: Potential, functional: Functional,
     start = _time.perf_counter()
     _, g_vals = _run_batch(pot, config, profile, n_replicas, functional,
                            rng=rng)
-    estimate = float(np.mean(g_vals))
-    std_error = float(np.std(g_vals, ddof=1)) / math.sqrt(n_replicas) \
-        if n_replicas > 1 else 0.0
+    estimate, std_error = _mean_and_se(g_vals)
     return ExperimentReport("plain_mc", config.n_sites, n_replicas, estimate,
                             std_error, _time.perf_counter() - start,
                             config.seed)
@@ -194,9 +195,8 @@ def variational_upper_bound(pot: Potential, functional: Functional,
     entropy = entropy_cost_of_profile(profile, config.n_sites)
     # batch.costs sums over sites; the bound lives in per-site units
     samples = batch.costs / config.n_sites + f_vals
-    estimate = entropy + float(np.mean(samples))
-    std_error = float(np.std(samples, ddof=1)) / math.sqrt(n_replicas) \
-        if n_replicas > 1 else 0.0
+    mean, std_error = _mean_and_se(samples)
+    estimate = entropy + mean
     return ExperimentReport("variational_bound", config.n_sites, n_replicas,
                             estimate, std_error,
                             _time.perf_counter() - start, config.seed)
@@ -206,9 +206,7 @@ def variational_upper_bound(pot: Potential, functional: Functional,
 
 
 def sine_target_field(target: float, horizon: float, j_cells: int = 64,
-                      n_steps: int | None = None,
-                      rate_constant: float = 2.0 * math.pi ** 2
-                      ) -> DensityField:
+                      n_steps: int | None = None) -> DensityField:
     """Deviation path m(t) = b(t) sin(2 pi theta) ending at pairing target.
 
     The amplitude grows exponentially at the heat-mode rate, which is the
@@ -219,26 +217,9 @@ def sine_target_field(target: float, horizon: float, j_cells: int = 64,
     n_steps = n_steps or max(64, j_cells)
     times = np.linspace(0.0, horizon, n_steps + 1)
     theta = np.arange(j_cells) / j_cells
-    b = 2.0 * target * np.exp(rate_constant * (times - horizon))
+    b = 2.0 * target * np.exp(2.0 * math.pi ** 2 * (times - horizon))
     vals = b[:, None] * np.sin(2.0 * np.pi * theta)[None, :]
     return DensityField(vals, horizon)
-
-
-def simple_control_from_grid(grid: ControlGrid, n_sites: int,
-                             n_pieces: int | None = None,
-                             bound: float | None = None) -> SimpleControl:
-    """Sample a control field at piece starts and site positions i/N."""
-    k = n_pieces if n_pieces is not None else n_sites
-    horizon = grid.horizon
-    bp = np.linspace(0.0, horizon, k + 1)
-    theta = (np.arange(1, n_sites + 1) % n_sites) / n_sites
-    jdx = np.round(theta * grid.j_cells).astype(int) % grid.j_cells
-    vals = np.empty((k, n_sites))
-    for piece in range(k):
-        kdx = min(int(bp[piece] / grid.dt + 1e-9), grid.n_steps - 1)
-        vals[piece] = grid.values[kdx, jdx]
-    b = bound if bound is not None else float(np.max(np.abs(vals))) + 1e-9
-    return SimpleControl(bp, vals, b)
 
 
 @dataclass(frozen=True)
@@ -253,13 +234,12 @@ class SteeringPlan:
 
 
 def steering_plan(pot: Potential, target: float, horizon: float,
-                  test_function: Callable, j_cells: int = 64,
-                  scale: float = 1.0) -> SteeringPlan:
-    """Build the steering field toward ``target``, scaled by ``scale``.
+                  test_function: Callable, j_cells: int = 64
+                  ) -> SteeringPlan:
+    """Build the steering field toward ``target``.
 
-    The control is the path's minimal control times ``scale`` (scale 1
-    reproduces the path); the profile is the tilt matching the path's
-    initial slice.
+    The control is the path's minimal control; the profile is the tilt
+    matching the path's initial slice.
     """
     n_steps = cfl_time_steps(pot, lambda th: 2.0 * abs(target)
                              * np.ones_like(th), j_cells, horizon)
@@ -267,8 +247,6 @@ def steering_plan(pot: Potential, target: float, horizon: float,
     control, feasible = minimal_control(pot, field)
     if not feasible:
         raise RuntimeError("steering field unexpectedly infeasible")
-    if scale != 1.0:
-        control = ControlGrid(scale * control.values, horizon)
     b0 = 2.0 * target * math.exp(-2.0 * math.pi ** 2 * horizon)
     profile = tilted_profile(
         pot, lambda th: b0 * np.sin(2.0 * np.pi * np.asarray(th)),
@@ -282,6 +260,13 @@ def steering_plan(pot: Potential, target: float, horizon: float,
 
 @dataclass(frozen=True)
 class TrendRow:
+    """One system size of the trend study.
+
+    ``limit_value`` (the ``inf_f_plus_rate`` column) is the smallest
+    F + rate over the family targets, which makes it an upper estimate of
+    the infimum.
+    """
+
     n_sites: int
     laplace: float
     laplace_se: float
@@ -302,17 +287,15 @@ def ldp_trend_study(pot: Potential, functional: Functional,
                     n_list: Sequence[int], horizon: float,
                     n_replicas: int, targets: Sequence[float],
                     seed: int = 0, workers: int = 1,
-                    control_scales: Sequence[float] = (1.0,),
-                    dt_safety: float = 0.1,
                     report_sink: list | None = None) -> list[TrendRow]:
     """Laplace estimates vs. best variational bounds across system sizes.
 
     For each N the control family consists of the minimal controls of the
     steering paths for each target (embedded as simple controls with N
-    pieces) times each scale, paired with the matching tilted profiles.
-    The limit column is the minimum of F + rate over the same targets.
-    Individual estimator reports are appended to ``report_sink`` when one
-    is supplied.
+    pieces), paired with the matching tilted profiles.  The limit column
+    is the smallest F + rate over the same targets, which makes it an
+    upper estimate of the infimum.  Individual estimator reports are
+    appended to ``report_sink`` when one is supplied.
     """
     plans = [steering_plan(pot, v, horizon, functional.test_function)
              for v in targets]
@@ -323,24 +306,22 @@ def ldp_trend_study(pot: Potential, functional: Functional,
     seeds = np.random.SeedSequence(seed).spawn(len(n_list))
     rows = []
     for pos, n in enumerate(n_list):
-        streams = seeds[pos].spawn(1 + len(plans) * len(control_scales))
-        config = SimConfig(n, horizon, stable_dt(pot, n, dt_safety),
-                           seed=seed)
+        streams = seeds[pos].spawn(1 + len(plans))
+        config = SimConfig(n, horizon, stable_dt(pot, n), seed=seed)
         lap = laplace_functional_mc(
             pot, functional, config, equilibrium_profile(pot), n_replicas,
             rng=np.random.default_rng(streams[0]))
 
         def bound_for(task):
-            idx, (plan, scale) = task
-            ctrl_grid = plan.control_grid if scale == 1.0 else \
-                ControlGrid(scale * plan.control_grid.values, horizon)
-            control = simple_control_from_grid(ctrl_grid, n)
+            idx, plan = task
+            grid = plan.control_grid
+            control = SimpleControl.from_function(grid.lookup, n,
+                                                  grid.horizon)
             return variational_upper_bound(
                 pot, functional, control, plan.profile, config, n_replicas,
                 rng=np.random.default_rng(streams[1 + idx]))
 
-        tasks = list(enumerate(
-            (plan, scale) for plan in plans for scale in control_scales))
+        tasks = list(enumerate(plans))
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 reports = list(pool.map(bound_for, tasks))

@@ -166,3 +166,24 @@ def test_ldp_subcommand_writes_both_csvs(tmp_path):
     reports = (out / "reports.csv").read_text().splitlines()
     assert reports[0] == "method,N,M,estimate,std_error,wall_time_s,seed"
     assert len(reports) == 3            # laplace + one bound, plus header
+
+
+@pytest.mark.parametrize("subcommand, text, code", [
+    ("simulate", "[simulate]\ndt = 0.1\n", 3),        # stability bound
+    ("pde", "[pde]\nn_steps = abc\n", 2),
+    ("pde", "[pde]\nn_steps = 0\n", 2),
+    ("pde", "[pde]\nhorizon = 0\n", 2),
+    ("ldp", "[ldp]\nn_list = 0,8\n", 2),
+    ("ldp", "[ldp]\nbound = 0\n", 2),
+    ("ldp", "[ldp]\nfamily = 0.1,nan\n", 2),
+    ("pde", "[potential]\nname = quartic\nquartic_a = 0\nquartic_b = 0\n", 2),
+    ("simulate", "[simulate]\nhorizon = -1\n", 2),
+])
+def test_bad_values_exit_with_one_line(tmp_path, capsys, subcommand, text,
+                                       code):
+    ini = _write(tmp_path, "bad.ini", text)
+    assert main([subcommand, "--config", ini,
+                 "--output-dir", str(tmp_path / "x")]) == code
+    err = capsys.readouterr().err.strip().splitlines()
+    prefix = "config error: " if code == 2 else "numerical failure: "
+    assert len(err) == 1 and err[0].startswith(prefix)

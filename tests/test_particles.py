@@ -5,14 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gllab import (LatticeState, NonFiniteState, SimConfig, SimpleControl,
-                   deterministic_profile, entropy_cost_of_profile,
-                   equilibrium_profile, sample_initial_from_profile,
-                   sample_initial_matrix, simulate_replicas,
-                   simulate_trajectory, stable_dt, tilted_constant_profile,
-                   tilted_sine_profile)
-from gllab.particles import _cell_positions, step_controlled, step_uncontrolled
+from gllab import (CFLViolation, LatticeState, NonFiniteState, SimConfig,
+                   SimpleControl, deterministic_profile,
+                   entropy_cost_of_profile, equilibrium_profile,
+                   sample_initial_from_profile, sample_initial_matrix,
+                   simulate_replicas, simulate_trajectory, stable_dt,
+                   tilted_constant_profile, tilted_sine_profile)
+from gllab.particles import _cell_positions
 
 
 def test_total_charge_is_conserved(gaussian, rng):
@@ -33,18 +35,20 @@ def test_one_step_matches_hand_rolled_update(gaussian):
 
     class FixedRng:
         def standard_normal(self, size):
-            return noise
+            assert size == (1, n)          # the engine draws (M, N) blocks
+            return noise.reshape(size)
 
-    state = step_uncontrolled(gaussian, LatticeState(x), dt, FixedRng())
+    rec = simulate_trajectory(gaussian, SimConfig(n, dt, dt), x,
+                              rng=FixedRng())
     dz = 0.5 * n * n * (np.roll(x, 1) - x) * dt + n * math.sqrt(dt) * noise
     expected = x + dz - np.roll(dz, -1)
-    assert np.allclose(state.charges, expected, atol=1e-15)
-    assert state.time == pytest.approx(dt)
+    assert np.allclose(rec.states[-1], expected, atol=1e-15)
+    assert rec.state_at(1).time == pytest.approx(dt)
 
 
 def test_stability_guard_rejects_large_dt(gaussian):
     cfg = SimConfig(32, 0.1, 1e-3)
-    with pytest.raises(ValueError, match="stability"):
+    with pytest.raises(CFLViolation, match="stability"):
         cfg.validate_stability(gaussian)
     # the guarded dt passes
     SimConfig(32, 0.1, stable_dt(gaussian, 32)).validate_stability(gaussian)
@@ -101,12 +105,12 @@ def test_girsanov_weight_is_normalized(gaussian):
 
 
 def test_controlled_step_increments(gaussian, rng):
-    state = LatticeState(np.zeros(8))
-    new, logw, cost = step_controlled(gaussian, state, np.full(8, 0.3),
-                                      1e-4, rng)
-    assert new.charges.shape == (8,)
-    assert cost == pytest.approx(0.5 * 8 * 0.09 * 1e-4)
-    assert math.isfinite(logw)
+    dt = 1e-4
+    rec = simulate_trajectory(gaussian, SimConfig(8, dt, dt), np.zeros(8),
+                              SimpleControl.constant(0.3, 8, dt), rng=rng)
+    assert rec.states.shape == (2, 8)
+    assert rec.control_cost == pytest.approx(0.5 * 8 * 0.09 * 1e-4)
+    assert math.isfinite(rec.girsanov_log_weight)
 
 
 def test_sample_times_snap_to_grid(gaussian, rng):
@@ -212,3 +216,49 @@ def test_replica_batch_shapes_and_pairings(gaussian, rng):
     drift = batch.states[-1].sum(axis=1) - batch.states[0].sum(axis=1)
     assert np.max(np.abs(drift)) < 1e-10
     assert batch.wall_time > 0.0
+
+
+_CONTROLS = st.one_of(
+    st.none(),
+    st.tuples(st.just("constant"), st.floats(-2.0, 2.0)),
+    st.tuples(st.just("sine"), st.floats(-2.0, 2.0), st.integers(2, 6)))
+
+
+def _control(spec, n, horizon):
+    if spec is None:
+        return None
+    if spec[0] == "constant":
+        return SimpleControl.constant(spec[1], n, horizon)
+    amp, pieces = spec[1], spec[2]
+    return SimpleControl.from_function(
+        lambda t, th: amp * np.sin(2.0 * np.pi * (th + t / horizon)), n,
+        horizon, n_pieces=pieces)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 24), steps=st.integers(1, 40),
+       seed=st.integers(0, 2 ** 32 - 1), spec=_CONTROLS)
+def test_engine_single_replica_matches_trajectory(gaussian, n, steps, seed,
+                                                  spec):
+    dt = stable_dt(gaussian, n)
+    horizon = steps * dt
+    cfg = SimConfig(n, horizon, dt)
+    ctrl = _control(spec, n, horizon)
+    profile = equilibrium_profile(gaussian)
+    times = np.arange(steps + 1) * dt
+    batch = simulate_replicas(gaussian, cfg, profile, 1, ctrl, times,
+                              record_states=True,
+                              rng=np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    initial = sample_initial_from_profile(profile, n, rng)
+    rec = simulate_trajectory(gaussian, cfg, initial, ctrl, times, rng=rng)
+    # one replica of the batch is the single trajectory, bit for bit
+    assert np.array_equal(batch.states[:, 0], rec.states)
+    assert batch.log_weights[0] == rec.girsanov_log_weight
+    assert batch.costs[0] == rec.control_cost
+    assert np.array_equal(batch.log_weight_path[:, 0], rec.log_weight_path)
+    # the flux form conserves charge
+    q = rec.states.sum(axis=1)
+    assert np.max(np.abs(q - q[0])) <= 1e-10 * (1.0 + abs(q[0]))
+    if ctrl is None:
+        assert not np.any(rec.log_weight_path) and not np.any(rec.cost_path)

@@ -6,15 +6,20 @@ import numpy as np
 import pytest
 
 from gllab import (DegenerateEstimate, ExperimentReport, Functional,
-                   SimConfig, equilibrium_profile, importance_sampled_expectation,
-                   laplace_functional_mc, ldp_trend_study, plain_expectation,
-                   simple_control_from_grid, sine_target_field, stable_dt,
-                   steering_plan, tilted_sine_profile, trend_gaps,
+                   SimConfig, SimpleControl, equilibrium_profile,
+                   importance_sampled_expectation, laplace_functional_mc,
+                   ldp_trend_study, plain_expectation, sine_target_field,
+                   stable_dt, steering_plan, tilted_sine_profile, trend_gaps,
                    variational_upper_bound)
 
 
 def _sin_fn(th):
     return np.sin(2.0 * np.pi * np.asarray(th))
+
+
+def _embed(grid, n_sites, n_pieces=None):
+    return SimpleControl.from_function(grid.lookup, n_sites, grid.horizon,
+                                       n_pieces)
 
 
 def _quadratic_functional(a=8.0, center=0.0, bound=64.0):
@@ -65,7 +70,7 @@ def test_importance_sampling_agrees_with_plain_mc(gaussian):
     cfg = SimConfig(n, horizon, stable_dt(gaussian, n), seed=8)
     prof = equilibrium_profile(gaussian)
     plan = steering_plan(gaussian, 0.3, horizon, _sin_fn)
-    ctrl = simple_control_from_grid(plan.control_grid, n)
+    ctrl = _embed(plan.control_grid, n)
     plain = plain_expectation(gaussian, fun, cfg, prof, 40000,
                               rng=np.random.default_rng(5))
     tilted = importance_sampled_expectation(gaussian, fun, ctrl, cfg, prof,
@@ -83,7 +88,7 @@ def test_variational_bound_dominates_laplace(gaussian):
                                 equilibrium_profile(gaussian), 20000,
                                 rng=np.random.default_rng(3))
     plan = steering_plan(gaussian, 0.25, horizon, _sin_fn)
-    ctrl = simple_control_from_grid(plan.control_grid, n)
+    ctrl = _embed(plan.control_grid, n)
     bound = variational_upper_bound(gaussian, fun, ctrl, plan.profile, cfg,
                                     4000, rng=np.random.default_rng(4))
     slack = 4.0 * (lap.std_error + bound.std_error)
@@ -145,7 +150,7 @@ def test_steering_plan_rate_matches_quadratic_tail(gaussian):
 
 def test_simple_control_embedding_samples_grid(gaussian):
     plan = steering_plan(gaussian, 0.2, 0.05, _sin_fn)
-    ctrl = simple_control_from_grid(plan.control_grid, 8, n_pieces=5)
+    ctrl = _embed(plan.control_grid, 8, n_pieces=5)
     assert ctrl.values.shape == (5, 8)
     assert ctrl.breakpoints[0] == 0.0
     assert ctrl.breakpoints[-1] == pytest.approx(0.05)
