@@ -9,8 +9,7 @@ limit, and Monte Carlo machinery for estimating rare-event costs.
 
 from .errors import (CFLViolation, ConfigInvalid, DegenerateEstimate,
                      GLLabError, NonFiniteField, NonFiniteState, NotMeanZero,
-                     QuadratureDiverged, RootNotBracketed, SizeCapExceeded,
-                     TimeGridMismatch)
+                     QuadratureDiverged, RootNotBracketed, TimeGridMismatch)
 from .measures import (AtomicSignedMeasure, MeasurePath, bl_distance, d_star,
                        density_to_atoms, from_state, measure_path_to_csv,
                        path_from_density_slices, path_from_record)
@@ -44,7 +43,7 @@ __all__ = [
     "LatticeState", "MeasurePath", "NonFiniteField", "NonFiniteState",
     "NotMeanZero", "Potential", "ProfileMeasure", "QuadratureDiverged",
     "QuadratureSpec", "RateDecomposition", "ReplicaBatch", "RootNotBracketed",
-    "SimConfig", "SimpleControl", "SizeCapExceeded", "SteeringPlan",
+    "SimConfig", "SimpleControl", "SteeringPlan",
     "TiltedFamilySampler", "TimeGridMismatch", "TrajectoryRecord", "TrendRow",
     "bl_distance", "cfl_time_steps", "contraction_gap", "control_l2_distance",
     "d_star", "density_to_atoms", "deterministic_profile",

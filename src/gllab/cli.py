@@ -221,9 +221,13 @@ def write_manifest(cfg, subcommand: str, out_dir: Path):
 def _resolve_outdir(cfg, args) -> Path:
     out = args.output_dir or os.environ.get(ENV_OUTPUT_DIR) \
         or cfg["run"]["output_dir"]
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(out)
+
+
+def _create(out: Path, name: str):
+    """Open out/name for writing; out is made now, not before validation."""
+    out.mkdir(parents=True, exist_ok=True)
+    return open(out / name, "w")
 
 
 def cmd_simulate(cfg, args) -> int:
@@ -247,7 +251,7 @@ def cmd_simulate(cfg, args) -> int:
         initial = sample_initial_from_profile(profile, n, rng)
         record = simulate_trajectory(pot, config, initial, control,
                                      sample_times, rng=rng)
-        with open(out / f"trajectory_{r:03d}.csv", "w") as fh:
+        with _create(out, f"trajectory_{r:03d}.csv") as fh:
             record.to_csv(fh)
     write_manifest(cfg, "simulate", out)
     print(f"wrote {replicas} trajectories to {out}")
@@ -279,7 +283,7 @@ def cmd_pde(cfg, args) -> int:
     pot = build_potential(cfg)
     out = _resolve_outdir(cfg, args)
     field = _solve_field_from_cfg(cfg, "pde", pot)
-    with open(out / "field.csv", "w") as fh:
+    with _create(out, "field.csv") as fh:
         field.to_csv(fh)
     write_manifest(cfg, "pde", out)
     print(f"wrote field.csv ({field.n_steps} steps, {field.j_cells} cells) "
@@ -292,10 +296,10 @@ def cmd_rate(cfg, args) -> int:
     out = _resolve_outdir(cfg, args)
     field = _solve_field_from_cfg(cfg, "rate", pot)
     decomposition = rate(pot, field)
-    with open(out / "rate.csv", "w") as fh:
+    with _create(out, "rate.csv") as fh:
         fh.write(RateDecomposition.CSV_HEADER + "\n")
         fh.write(decomposition.csv_row() + "\n")
-    with open(out / "field.csv", "w") as fh:
+    with _create(out, "field.csv") as fh:
         field.to_csv(fh)
     write_manifest(cfg, "rate", out)
     print(f"rate total = {decomposition.total:.6g} "
@@ -330,11 +334,11 @@ def cmd_ldp(cfg, args) -> int:
     rows = ldp_trend_study(pot, functional, n_list, horizon, replicas,
                            targets, seed=seed, workers=workers,
                            report_sink=reports)
-    with open(out / "trend.csv", "w") as fh:
+    with _create(out, "trend.csv") as fh:
         fh.write(TrendRow.CSV_HEADER + "\n")
         for row in rows:
             fh.write(row.csv_row() + "\n")
-    with open(out / "reports.csv", "w") as fh:
+    with _create(out, "reports.csv") as fh:
         fh.write(ExperimentReport.CSV_HEADER + "\n")
         for rep in reports:
             fh.write(rep.csv_row() + "\n")

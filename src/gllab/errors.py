@@ -33,10 +33,6 @@ class CFLViolation(GLLabError):
     PDE's CFL bound or the particle system's dt <= c/N^2 stability rule."""
 
 
-class SizeCapExceeded(GLLabError):
-    """Measure-distance LP would exceed the configured atom cap."""
-
-
 class TimeGridMismatch(GLLabError):
     """Two measure paths do not share a common snapshot grid."""
 

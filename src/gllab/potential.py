@@ -37,6 +37,15 @@ TAIL_BUDGET = 1e-10
 _LOG_TAIL_BUDGET = math.log(TAIL_BUDGET)
 
 
+def _unachievable(what: str, quadrature) -> RootNotBracketed:
+    """The tilt cap and the quadrature window both bound a tilted mean."""
+    w = quadrature.domain_halfwidth
+    return RootNotBracketed(
+        f"{what} not achievable with |tilt| <= {BRACKET_CAP:g} on the "
+        f"quadrature window [-{w:g}, {w:g}]; widen "
+        f"QuadratureSpec.domain_halfwidth for means near or past it")
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Fixed trapezoid rule on [-domain_halfwidth, domain_halfwidth]."""
@@ -255,9 +264,7 @@ class Potential:
                 break
             if np.all(hi[need] >= BRACKET_CAP):
                 bad = x[need & (hi >= BRACKET_CAP)]
-                raise RootNotBracketed(
-                    f"mean value(s) {bad[:4]} not achievable with tilt "
-                    f"<= {BRACKET_CAP}")
+                raise _unachievable(f"mean value(s) {bad[:4]}", self.quadrature)
             hi = np.where(need, np.minimum(hi * 2.0, BRACKET_CAP), hi)
         else:
             raise RootNotBracketed("bracket expansion did not terminate")
@@ -268,9 +275,7 @@ class Potential:
                 break
             if np.all(lo[need] <= -BRACKET_CAP):
                 bad = x[need & (lo <= -BRACKET_CAP)]
-                raise RootNotBracketed(
-                    f"mean value(s) {bad[:4]} not achievable with tilt "
-                    f">= -{BRACKET_CAP}")
+                raise _unachievable(f"mean value(s) {bad[:4]}", self.quadrature)
             lo = np.where(need, np.maximum(lo * 2.0, -BRACKET_CAP), lo)
         else:
             raise RootNotBracketed("bracket expansion did not terminate")
@@ -409,16 +414,12 @@ class EnvelopeTable:
         lam_hi = 1.0
         while pot._tilted_stats(lam_hi)[1] < hi:
             if lam_hi >= BRACKET_CAP:
-                raise RootNotBracketed(
-                    f"mean value {hi:g} not achievable with tilt "
-                    f"<= {BRACKET_CAP}")
+                raise _unachievable(f"mean value {hi:g}", pot.quadrature)
             lam_hi = min(lam_hi * 2.0, BRACKET_CAP)
         lam_lo = -1.0
         while pot._tilted_stats(lam_lo)[1] > lo:
             if lam_lo <= -BRACKET_CAP:
-                raise RootNotBracketed(
-                    f"mean value {lo:g} not achievable with tilt "
-                    f">= -{BRACKET_CAP}")
+                raise _unachievable(f"mean value {lo:g}", pot.quadrature)
             lam_lo = max(lam_lo * 2.0, -BRACKET_CAP)
         lam_grid = np.linspace(lam_lo, lam_hi, self._n)
         _, fwd_means, _ = pot._tilted_stats(lam_grid)

@@ -187,3 +187,15 @@ def test_bad_values_exit_with_one_line(tmp_path, capsys, subcommand, text,
     err = capsys.readouterr().err.strip().splitlines()
     prefix = "config error: " if code == 2 else "numerical failure: "
     assert len(err) == 1 and err[0].startswith(prefix)
+    assert not (tmp_path / "x").exists()     # no output directory left
+
+
+def test_unreachable_density_names_the_quadrature_window(tmp_path, capsys):
+    # density 13 lies past the +-12 window that bounds every tilted mean
+    ini = _write(tmp_path, "far.ini", "[pde]\nm0 = constant(13)\n")
+    assert main(["pde", "--config", ini,
+                 "--output-dir", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: ")
+    assert "[-12, 12]" in err[0] and "domain_halfwidth" in err[0]
+    assert not (tmp_path / "x").exists()

@@ -4,11 +4,13 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from gllab import (AtomicSignedMeasure, LatticeState, MeasurePath,
-                   SizeCapExceeded, TimeGridMismatch, bl_distance, d_star,
-                   density_to_atoms, from_state, measure_path_to_csv,
-                   path_from_density_slices)
+                   TimeGridMismatch, bl_distance, d_star, density_to_atoms,
+                   from_state, measure_path_to_csv, path_from_density_slices)
 from gllab.measures import arc_distance
 
 
@@ -99,11 +101,74 @@ def test_density_to_atoms_callable_and_grid_agree():
     assert np.sum(a.weights) == pytest.approx(np.mean(fn(np.arange(16) / 16)))
 
 
-def test_atom_cap_enforced(rng):
-    mu = AtomicSignedMeasure(rng.random(40), rng.standard_normal(40))
-    nu = AtomicSignedMeasure(rng.random(40), rng.standard_normal(40))
-    with pytest.raises(SizeCapExceeded):
-        bl_distance(mu, nu, atom_cap=50)
+def _all_pairs_bl(mu, nu):
+    """Reference: the dual LP with a Lipschitz row for every pair of
+    atoms of mu - nu (zero-net atoms kept), dense and unreduced."""
+    locs, inv = np.unique(np.concatenate([mu.locations, nu.locations]),
+                          return_inverse=True)
+    net = np.zeros(locs.size)
+    np.add.at(net, inv, np.concatenate([mu.weights, -nu.weights]))
+    m = locs.size
+    kk, ll = np.triu_indices(m, k=1)
+    grad = np.zeros((kk.size, m))
+    grad[np.arange(kk.size), kk] = 1.0
+    grad[np.arange(kk.size), ll] = -1.0
+    d = arc_distance(locs[kk], locs[ll])
+    res = linprog(-net, A_ub=np.vstack([grad, -grad]),
+                  b_ub=np.concatenate([d, d]), bounds=(-1.0, 1.0),
+                  method="highs")
+    assert res.success
+    return -res.fun
+
+
+@st.composite
+def _measure_pairs(draw):
+    """mu and nu with 1..40 atoms each, signed weights; nu may reuse
+    some of mu's locations, and all atoms may be packed into an arc
+    shorter than 1/2 so that the wrap-around gap exceeds 1/2.
+
+    Locations are multiples of 2^-12 and weights multiples of 1e-3:
+    HiGHS's absolute tolerances (1e-7) blur finer gaps and weights in
+    either LP, and the comparison is to 1e-12.
+    """
+    def ints(lo, hi, n):
+        return np.asarray(draw(st.lists(st.integers(lo, hi), min_size=n,
+                                        max_size=n)))
+
+    grid = 4096
+    m_mu = draw(st.integers(1, 40))
+    m_nu = draw(st.integers(1, 40))
+    locs = ints(0, grid - 1, m_mu + m_nu)
+    if draw(st.booleans()):
+        width = draw(st.integers(1, grid // 2 - 1))
+        locs = (draw(st.integers(0, grid - 1)) + locs % width) % grid
+    shared = draw(st.integers(0, min(m_mu, m_nu)))
+    locs[m_mu:m_mu + shared] = locs[:shared]
+    return (AtomicSignedMeasure(locs[:m_mu] / grid, ints(-3000, 3000, m_mu)
+                                / 1000.0),
+            AtomicSignedMeasure(locs[m_mu:] / grid, ints(-3000, 3000, m_nu)
+                                / 1000.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_measure_pairs())
+@example((AtomicSignedMeasure([0.1], [1.0]),
+          AtomicSignedMeasure([0.7], [-2.0])))           # m = 2
+@example((AtomicSignedMeasure([0.1, 0.3], [1.0, -0.5]),
+          AtomicSignedMeasure([0.3, 0.35], [0.5, 2.0])))  # shared, packed
+def test_bl_distance_matches_all_pairs_lp(pair):
+    mu, nu = pair
+    tv = mu.total_variation() + nu.total_variation()
+    assert abs(bl_distance(mu, nu) - _all_pairs_bl(mu, nu)) <= \
+        1e-12 * (1.0 + tv)
+
+
+def test_bl_distance_at_4096_atoms(rng):
+    mu = AtomicSignedMeasure(rng.random(2048), rng.standard_normal(2048))
+    nu = AtomicSignedMeasure(rng.random(2048), rng.standard_normal(2048))
+    net = abs(np.sum(mu.weights) - np.sum(nu.weights))
+    tv = mu.total_variation() + nu.total_variation()
+    assert net - 1e-9 <= bl_distance(mu, nu) <= tv + 1e-9
 
 
 def test_empirical_measure_concentrates(rng):

@@ -109,6 +109,21 @@ def test_unattainable_mean_raises(gaussian):
         gaussian.legendre_h(100.0)
 
 
+def test_unattainable_mean_names_both_limits(gaussian):
+    # the mean at tilt 64 is 11.98: the +-12 quadrature window, not the
+    # tilt cap, is what puts 13 out of reach, so both are named
+    limits = (r"\|tilt\| <= 64 on the quadrature window \[-12, 12\]; "
+              r"widen QuadratureSpec\.domain_halfwidth")
+    with pytest.raises(RootNotBracketed, match="13.*" + limits):
+        gaussian.legendre_h(13.0)
+    with pytest.raises(RootNotBracketed, match="-13.*" + limits):
+        gaussian.legendre_h_vec(np.asarray([0.0, -13.0]))
+    with pytest.raises(RootNotBracketed, match=limits):
+        EnvelopeTable(gaussian, 0.0, 13.0)
+    with pytest.raises(RootNotBracketed, match=limits):
+        EnvelopeTable(gaussian, -13.0, 0.0)
+
+
 def test_heavy_tilt_of_slowly_decaying_potential_raises():
     # smooth potential with exponential tails: tilting past the decay
     # rate leaves unbounded mass outside any quadrature window
