@@ -142,20 +142,19 @@ class SimpleControl:
 
     @classmethod
     def from_function(cls, u: Callable, n_sites: int, horizon: float,
-                      n_pieces: int | None = None,
-                      bound: float | None = None) -> "SimpleControl":
+                      n_pieces: int | None = None) -> "SimpleControl":
         """Sample u(t, theta) at piece starts and site positions i/N.
 
         This is the canonical embedding of a space-time control field into
-        the simple-control class: piece j holds u(j*T/K, i/N).
+        the simple-control class: piece j holds u(j*T/K, i/N).  The bound
+        is the largest sampled magnitude.
         """
         k = n_pieces if n_pieces is not None else n_sites
         bp = np.linspace(0.0, horizon, k + 1)
         theta = np.arange(1, n_sites + 1) / n_sites
         vals = np.stack([np.asarray(u(bp[j], theta), dtype=float)
                          for j in range(k)])
-        b = bound if bound is not None else float(np.max(np.abs(vals))) + 1e-12
-        return cls(bp, vals, b)
+        return cls(bp, vals, float(np.max(np.abs(vals))) + 1e-12)
 
 
 # -- the engine ---------------------------------------------------------------

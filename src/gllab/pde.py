@@ -26,7 +26,7 @@ from .errors import CFLViolation, NonFiniteField
 from .potential import EnvelopeTable, Potential
 from .particles import SimpleControl
 
-DEFAULT_CFL_SAFETY = 0.5
+CFL_SAFETY = 0.5
 
 
 @dataclass
@@ -152,32 +152,30 @@ class DensityField:
             fh.write(",".join(row) + "\n")
 
 
-def _resolve_grid(pot: Potential, m0, j_cells, table_pad=1.0):
+def _resolve_grid(pot: Potential, m0, j_cells):
     m0_arr = np.asarray(m0(np.arange(j_cells) / j_cells)
                         if callable(m0) else m0, dtype=float)
     if m0_arr.ndim != 1:
         raise ValueError("initial density must be one-dimensional")
     lo = float(np.min(m0_arr))
     hi = float(np.max(m0_arr))
-    pad = table_pad * max(hi - lo, 1.0)
+    pad = max(hi - lo, 1.0)
     table = EnvelopeTable(pot, lo - pad, hi + pad)
     return m0_arr, table
 
 
-def cfl_time_steps(pot: Potential, m0, j_cells: int, horizon: float,
-                   safety: float = DEFAULT_CFL_SAFETY) -> int:
-    """Smallest step count satisfying dt <= safety * dtheta^2 / max H'."""
+def cfl_time_steps(pot: Potential, m0, j_cells: int, horizon: float) -> int:
+    """Smallest step count satisfying dt <= CFL_SAFETY * dtheta^2 / max H'."""
     m0_arr, table = _resolve_grid(pot, m0, j_cells)
     dtheta = 1.0 / m0_arr.size
-    dt_max = safety * dtheta ** 2 / table.max_curvature()
+    dt_max = CFL_SAFETY * dtheta ** 2 / table.max_curvature()
     return max(1, int(math.ceil(horizon / dt_max)))
 
 
 def solve_controlled_pde(pot: Potential, m0, u: ControlGrid | None = None,
                          horizon: float | None = None,
                          j_cells: int | None = None,
-                         n_steps: int | None = None,
-                         cfl_safety: float = DEFAULT_CFL_SAFETY) -> DensityField:
+                         n_steps: int | None = None) -> DensityField:
     """March the controlled equation forward from the initial density.
 
     When a ControlGrid is given it fixes the grid (and the horizon);
@@ -201,14 +199,14 @@ def solve_controlled_pde(pot: Potential, m0, u: ControlGrid | None = None,
     m = m_arr.copy()
 
     dtheta = 1.0 / j_cells
-    dt_max = cfl_safety * dtheta ** 2 / table.max_curvature()
+    dt_max = CFL_SAFETY * dtheta ** 2 / table.max_curvature()
     if n_steps is None:
         n_steps = max(1, int(math.ceil(horizon / dt_max)))
     dt = horizon / n_steps
     if dt > dt_max * (1 + 1e-9):
         raise CFLViolation(
             f"dt={dt:g} exceeds {dt_max:g} "
-            f"(= safety*dtheta^2/max_curvature with safety={cfl_safety:g}, "
+            f"(= safety*dtheta^2/max_curvature with safety={CFL_SAFETY:g}, "
             f"J={j_cells}, max H'={table.max_curvature():g})")
 
     diff = 0.5 * dt / dtheta ** 2

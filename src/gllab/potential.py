@@ -36,6 +36,18 @@ TAIL_BUDGET = 1e-10
 
 _LOG_TAIL_BUDGET = math.log(TAIL_BUDGET)
 
+# Largest change of the log normalization allowed when the grid is doubled.
+DOUBLING_TOLERANCE = 1e-8
+
+# Values of sigma for which exp(sigma*|phi'| - phi) must be integrable: the
+# moment condition the particle drift analysis needs.
+SIGMA_CHECKS = (0.5, 1.0)
+
+# Nodes of an envelope-slope table; tilts tabulated by a tilted-family
+# sampler.
+ENVELOPE_NODES = 2049
+FAMILY_TILTS = 129
+
 
 def _unachievable(what: str, quadrature) -> RootNotBracketed:
     """The tilt cap and the quadrature window both bound a tilted mean."""
@@ -52,15 +64,12 @@ class QuadratureSpec:
 
     node_count: int = 4096
     domain_halfwidth: float = 12.0
-    tolerance: float = 1e-8
 
     def __post_init__(self):
         if self.node_count < 16:
             raise ValueError("node_count must be at least 16")
         if not (self.domain_halfwidth > 0):
             raise ValueError("domain_halfwidth must be positive")
-        if not (self.tolerance > 0):
-            raise ValueError("tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -87,10 +96,8 @@ class Potential:
         exp(-phi) a probability density.
     quadrature : QuadratureSpec
         Grid for every integral this object performs.
-    sigma_checks : tuple of float
-        Values of sigma for which the integrability of
-        exp(sigma*|phi_prime| - phi) is verified at construction.  This is
-        the moment condition the particle drift analysis needs.
+
+    The moment condition of ``SIGMA_CHECKS`` is verified at construction.
 
     Instances are immutable after construction and safe to share across
     threads; the tilted-sampling tables are the only caches and are
@@ -99,7 +106,7 @@ class Potential:
 
     def __init__(self, phi, phi_prime, phi_double_prime,
                  quadrature: QuadratureSpec | None = None,
-                 name: str = "custom", sigma_checks=(0.5, 1.0)):
+                 name: str = "custom"):
         self.quadrature = quadrature or QuadratureSpec()
         q = self.quadrature
         self.name = name
@@ -129,7 +136,7 @@ class Potential:
         self._neg_phi_logw = -self._phi_grid + logw
         self._y2 = y ** 2
 
-        for sigma in sigma_checks:
+        for sigma in SIGMA_CHECKS:
             g = sigma * np.abs(self._phi_prime_grid) - self._phi_grid
             self._tail_checked_logsumexp(g, f"sigma moment check (sigma={sigma})")
 
@@ -147,9 +154,10 @@ class Potential:
     def phi_double_prime(self, x):
         return self._raw_phi_double_prime(x)
 
-    def max_phi_double_prime(self, halfwidth=8.0):
-        """Max curvature over a probe range, used by stability rules."""
-        mask = np.abs(self._y) <= halfwidth
+    def max_phi_double_prime(self):
+        """Max curvature over the probe range |x| <= 8, used by stability
+        rules."""
+        mask = np.abs(self._y) <= 8.0
         return float(np.max(np.abs(self._raw_phi_double_prime(self._y[mask]))))
 
     # -- quadrature helpers --------------------------------------------
@@ -163,10 +171,10 @@ class Potential:
         logw2[0] -= math.log(2.0)
         logw2[-1] -= math.log(2.0)
         z2 = float(logsumexp(-np.asarray(phi(y2), dtype=float) + logw2))
-        if abs(z2 - z_coarse) > q.tolerance:
+        if abs(z2 - z_coarse) > DOUBLING_TOLERANCE:
             raise QuadratureDiverged(
                 f"doubling check failed: |{z2:.3e} - {z_coarse:.3e}| "
-                f"> {q.tolerance:g}; refine the quadrature spec")
+                f"> {DOUBLING_TOLERANCE:g}; refine the quadrature spec")
 
     def _tail_checked_logsumexp(self, log_integrand, what):
         """logsumexp over the grid, raising if the window truncates mass."""
@@ -352,8 +360,7 @@ class TiltedFamilySampler:
     draws group by bracketing table row.
     """
 
-    def __init__(self, pot: Potential, lam_min: float, lam_max: float,
-                 n_tables: int = 129):
+    def __init__(self, pot: Potential, lam_min: float, lam_max: float):
         if lam_max < lam_min:
             raise ValueError("lam_max must be >= lam_min")
         self._pot = pot
@@ -363,7 +370,8 @@ class TiltedFamilySampler:
         if self._lam_max - self._lam_min < 1e-8:
             self._lams = np.asarray([lam_min])
         else:
-            self._lams = np.linspace(self._lam_min, self._lam_max, n_tables)
+            self._lams = np.linspace(self._lam_min, self._lam_max,
+                                     FAMILY_TILTS)
         self._cdfs = np.stack([pot._tilt_cdf(l) for l in self._lams])
 
     def sample(self, lam, rng):
@@ -396,9 +404,8 @@ class EnvelopeTable:
     emitted once, and ``range_escaped`` is set.
     """
 
-    def __init__(self, pot: Potential, lo: float, hi: float, n_nodes: int = 2049):
+    def __init__(self, pot: Potential, lo: float, hi: float):
         self._pot = pot
-        self._n = n_nodes
         self.range_escaped = False
         self._build(lo, hi)
 
@@ -421,10 +428,10 @@ class EnvelopeTable:
             if lam_lo <= -BRACKET_CAP:
                 raise _unachievable(f"mean value {lo:g}", pot.quadrature)
             lam_lo = max(lam_lo * 2.0, -BRACKET_CAP)
-        lam_grid = np.linspace(lam_lo, lam_hi, self._n)
+        lam_grid = np.linspace(lam_lo, lam_hi, ENVELOPE_NODES)
         _, fwd_means, _ = pot._tilted_stats(lam_grid)
 
-        xs = np.linspace(lo, hi, self._n)
+        xs = np.linspace(lo, hi, ENVELOPE_NODES)
         lams = np.interp(xs, fwd_means, lam_grid)
         var = None
         for _ in range(2):

@@ -234,13 +234,13 @@ class SteeringPlan:
 
 
 def steering_plan(pot: Potential, target: float, horizon: float,
-                  test_function: Callable, j_cells: int = 64
-                  ) -> SteeringPlan:
-    """Build the steering field toward ``target``.
+                  test_function: Callable) -> SteeringPlan:
+    """Build the steering field toward ``target`` on 64 cells.
 
     The control is the path's minimal control; the profile is the tilt
     matching the path's initial slice.
     """
+    j_cells = 64
     n_steps = cfl_time_steps(pot, lambda th: 2.0 * abs(target)
                              * np.ones_like(th), j_cells, horizon)
     field = sine_target_field(target, horizon, j_cells, n_steps)

@@ -67,18 +67,18 @@ def _defect(pot: Potential, field: DensityField) -> np.ndarray:
     return g
 
 
-def minimal_control(pot: Potential, field: DensityField,
-                    mass_tol: float = MASS_DEFECT_TOL):
+def minimal_control(pot: Potential, field: DensityField):
     """Smallest-L2 control reproducing the path, or None if infeasible.
 
     Returns (control, feasible).  Feasibility requires the defect to have
-    zero spatial mean on every slice (up to mass_tol, relative to the
+    zero spatial mean on every slice (up to MASS_DEFECT_TOL, relative to the
     field scale); the control cells are face-averaged values of the
     antiderivative, shifted to zero mean.
     """
     g = _defect(pot, field)
     scale = 1.0 + float(np.max(np.abs(field.values)))
-    if float(np.max(np.abs(g.mean(axis=1)), initial=0.0)) > mass_tol * scale:
+    mass_defect = float(np.max(np.abs(g.mean(axis=1)), initial=0.0))
+    if mass_defect > MASS_DEFECT_TOL * scale:
         return None, False
     dth = field.dtheta
     centered = g - g.mean(axis=1, keepdims=True)
@@ -103,19 +103,19 @@ def rate(pot: Potential, field: DensityField) -> RateDecomposition:
     return RateDecomposition(init, control, dyn, init + dyn, True)
 
 
-def h_minus_one_seminorm(g, mean_tol: float = 1e-10) -> float:
+def h_minus_one_seminorm(g) -> float:
     """Negative-order seminorm: L2 norm of the zero-mean antiderivative.
 
     Computed through the discrete Fourier transform as
     sqrt(sum_{k != 0} |g_hat_k|^2 / (2 pi k)^2); raises NotMeanZero when
-    the input has nonzero spatial mean.
+    the input's spatial mean exceeds 1e-10 times max(1, max |g|).
     """
     g = np.asarray(g, dtype=float)
     if g.ndim != 1:
         raise ValueError("expected one spatial slice")
     scale = float(np.max(np.abs(g), initial=0.0))
     mean = float(np.mean(g))
-    if abs(mean) > mean_tol * max(1.0, scale):
+    if abs(mean) > 1e-10 * max(1.0, scale):
         raise NotMeanZero(f"spatial mean {mean:.3e} is not zero")
     j = g.size
     coeff = np.fft.rfft(g) / j

@@ -1,10 +1,16 @@
 """Command-line interface: config handling, outputs, reproducibility."""
 
 import configparser
+import contextlib
+import io
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gllab.cli import DEFAULTS, load_config, main
 from gllab.errors import ConfigInvalid
@@ -178,6 +184,15 @@ def test_ldp_subcommand_writes_both_csvs(tmp_path):
     ("ldp", "[ldp]\nfamily = 0.1,nan\n", 2),
     ("pde", "[potential]\nname = quartic\nquartic_a = 0\nquartic_b = 0\n", 2),
     ("simulate", "[simulate]\nhorizon = -1\n", 2),
+    ("pde", "[pde]\ncontrol = constant(1e400)\n", 2),
+    ("simulate", "[simulate]\ncontrol = sine(1e400)\n", 2),
+    ("pde", "[pde]\nm0 = sine(1e400)\n", 2),
+    ("rate", "[rate]\nm0 = constant(1e400)\n", 2),
+    ("ldp", "[ldp]\ntarget = nan\n", 2),
+    ("ldp", "[ldp]\ntarget = inf\n", 2),
+    ("simulate", "[ldp]\nn_list = abc\n", 2),     # a section simulate skips
+    ("simulate", "[simulate]\ncontrol = sine(1\n", 2),
+    ("simulate", "[simulate]\ncontrol = sine:1)\n", 2),
 ])
 def test_bad_values_exit_with_one_line(tmp_path, capsys, subcommand, text,
                                        code):
@@ -199,3 +214,61 @@ def test_unreachable_density_names_the_quadrature_window(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("numerical failure: ")
     assert "[-12, 12]" in err[0] and "domain_halfwidth" in err[0]
     assert not (tmp_path / "x").exists()
+
+
+# A tiny run of every subcommand; one key at a time is then overwritten.
+_TINY = {
+    "run": {"seed": "3", "workers": "2"},
+    "simulate": {"n_sites": "4", "horizon": "0.001", "replicas": "5"},
+    "pde": {"j_cells": "8", "horizon": "0.001"},
+    "rate": {"j_cells": "8", "horizon": "0.001"},
+    "ldp": {"n_list": "4", "replicas": "5", "horizon": "0.001",
+            "family": "0.3"},
+}
+_KEYS = [(section, key) for section in DEFAULTS for key in DEFAULTS[section]]
+_VALUES = ["1", "2", "4", "0.5", "0.01", "0", "-1", "-0.5", "nan", "inf",
+           "-inf", "1e400", "abc", "", "auto", "1,2", "0.1,nan", "none",
+           "quartic", "equilibrium", "sine(0.5)", "constant(-0.5)",
+           "tilted_sine:0.3", "cosine(1e400)", "sine(nan)", "sine(1",
+           "sine:1)", "constant"]
+
+
+def _csv_rows(path):
+    lines = path.read_text().splitlines()
+    if path.name == "reports.csv":       # wall_time_s differs run to run
+        return [",".join(c for i, c in enumerate(line.split(",")) if i != 5)
+                for line in lines]
+    return lines
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(subcommand=st.sampled_from(["simulate", "pde", "rate", "ldp"]),
+       key=st.sampled_from(_KEYS), value=st.sampled_from(_VALUES))
+def test_main_keeps_its_exit_code_contract(subcommand, key, value):
+    cfg = {section: dict(kv) for section, kv in _TINY.items()}
+    cfg.setdefault(key[0], {})[key[1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        ini = tmp / "c.ini"
+        ini.write_text("".join(
+            f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+            for s, kv in cfg.items()))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main([subcommand, "--config", str(ini),
+                       "--output-dir", str(tmp / "o1")])
+        assert rc in (0, 2, 3)
+        if rc != 0:
+            lines = err.getvalue().strip().splitlines()
+            prefix = "config error: " if rc == 2 else "numerical failure: "
+            assert len(lines) == 1 and lines[0].startswith(prefix)
+            if rc == 2:
+                assert not (tmp / "o1").exists()
+            return
+        assert main([subcommand, "--config", str(tmp / "o1" / "manifest.ini"),
+                     "--output-dir", str(tmp / "o2")]) == 0
+        csvs = sorted(p.name for p in (tmp / "o1").glob("*.csv"))
+        assert csvs == sorted(p.name for p in (tmp / "o2").glob("*.csv"))
+        for name in csvs:
+            assert _csv_rows(tmp / "o1" / name) == _csv_rows(tmp / "o2" / name)
