@@ -123,11 +123,13 @@ def bl_distance(mu1: AtomicSignedMeasure, mu2: AtomicSignedMeasure) -> float:
     a_ub = sparse.vstack([grad, -grad])
     b_ub = np.concatenate([d, d])
 
-    res = linprog(-c, A_ub=a_ub, b_ub=b_ub, bounds=(-1.0, 1.0),
+    # HiGHS's tolerances are absolute (1e-7): solve with costs of largest
+    # magnitude one and scale the optimum back, or small weights drown.
+    res = linprog(-c / scale, A_ub=a_ub, b_ub=b_ub, bounds=(-1.0, 1.0),
                   method="highs")
     if not res.success:
         raise RuntimeError(f"bounded-Lipschitz LP failed: {res.message}")
-    return float(-res.fun)
+    return float(-res.fun) * scale
 
 
 @dataclass(frozen=True)

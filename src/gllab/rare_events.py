@@ -31,7 +31,7 @@ from .particles import (ProfileMeasure, ReplicaBatch, SimConfig,
                         tilted_profile)
 from .pde import ControlGrid, DensityField, cfl_time_steps
 from .potential import Potential
-from .rate import minimal_control, rate
+from .rate import rate
 
 
 @dataclass(frozen=True)
@@ -244,18 +244,20 @@ def steering_plan(pot: Potential, target: float, horizon: float,
     n_steps = cfl_time_steps(pot, lambda th: 2.0 * abs(target)
                              * np.ones_like(th), j_cells, horizon)
     field = sine_target_field(target, horizon, j_cells, n_steps)
-    control, feasible = minimal_control(pot, field)
-    if not feasible:
-        raise RuntimeError("steering field unexpectedly infeasible")
+    decomp = rate(pot, field)
     b0 = 2.0 * target * math.exp(-2.0 * math.pi ** 2 * horizon)
+    # The profile's Legendre solve covers the initial slice's range, so it
+    # raises wherever rate() found no finite initial entropy.
     profile = tilted_profile(
         pot, lambda th: b0 * np.sin(2.0 * np.pi * np.asarray(th)),
         description=f"steering(target={target:g})")
+    if not decomp.feasible:
+        raise RuntimeError("steering field unexpectedly infeasible")
     theta = np.arange(j_cells) / j_cells
     jv = np.asarray(test_function(theta), dtype=float)
     limit_pairing = field.values @ jv / j_cells
-    decomp = rate(pot, field)
-    return SteeringPlan(field, control, profile, limit_pairing, decomp.total)
+    return SteeringPlan(field, decomp.minimal_control, profile,
+                        limit_pairing, decomp.total)
 
 
 @dataclass(frozen=True)

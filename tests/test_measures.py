@@ -171,6 +171,17 @@ def test_bl_distance_at_4096_atoms(rng):
     assert net - 1e-9 <= bl_distance(mu, nu) <= tv + 1e-9
 
 
+def test_bl_distance_scales_with_small_weights(rng):
+    # HiGHS's tolerances are absolute (1e-7); weights far below them must
+    # still scale the distance linearly
+    mu = AtomicSignedMeasure(rng.random(30), rng.standard_normal(30))
+    nu = AtomicSignedMeasure(rng.random(30), rng.standard_normal(30))
+    d = bl_distance(mu, nu)
+    assert d > 0
+    assert bl_distance(mu.scaled(1e-8), nu.scaled(1e-8)) == \
+        pytest.approx(1e-8 * d, rel=1e-6)
+
+
 def test_empirical_measure_concentrates(rng):
     # equilibrium charges pair like N(0,1)/N noise: distance to the zero
     # measure decays roughly like 1/sqrt(N)

@@ -8,9 +8,14 @@ through identities that hold for any potential.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import gllab
@@ -65,6 +70,48 @@ def test_tilted_stats_gaussian_mean_and_variance(gaussian):
     _, mean, var = gaussian._tilted_stats(lams)
     assert np.allclose(mean, lams, atol=1e-9)
     assert np.allclose(var, 1.0, atol=1e-8)
+
+
+# 32 rows is one stats block at 4096 nodes; OpenBLAS starts threading a
+# matrix-vector product near 113 rows
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=300))
+@example(np.linspace(-5.0, 5.0, 33).tolist())
+@example(np.linspace(-5.0, 5.0, 114).tolist())
+@example(np.linspace(-5.0, 5.0, 300).tolist())
+def test_tilted_stats_row_does_not_depend_on_its_batch(gaussian, quartic,
+                                                       lams):
+    lams = np.asarray(lams)
+    for pot in (gaussian, quartic):
+        alone = np.asarray([pot._tilted_stats(lam) for lam in lams]).T
+        assert np.array_equal(np.asarray(pot._tilted_stats(lams)), alone)
+        two = np.asarray(pot._tilted_stats(np.stack([lams, lams[::-1]])))
+        assert np.array_equal(two, np.stack([alone, alone[:, ::-1]], axis=1))
+
+
+def test_envelope_table_does_not_depend_on_blas_threads():
+    code = ("import hashlib; from gllab import EnvelopeTable, "
+            "gaussian_potential; t = EnvelopeTable(gaussian_potential(), "
+            "-2.0, 2.0); print(hashlib.sha256(t._lams.tobytes() "
+            "+ t._vars.tobytes()).hexdigest())")
+    src = os.path.dirname(os.path.dirname(gllab.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(out.stdout)
+    assert digests[0] == digests[1]
+
+
+def test_tail_check_covers_every_block(gaussian):
+    # tilt 10 puts the mean 2 from the +12 edge; it sits in the fourth
+    # 32-row block, after blocks that pass
+    lams = np.linspace(-1.0, 1.0, 200)
+    gaussian._tilted_stats(lams, tail_check=True)
+    lams[100] = 10.0
+    with pytest.raises(QuadratureDiverged):
+        gaussian._tilted_stats(lams, tail_check=True)
 
 
 def test_cumulants_bundle_consistency(quartic):
