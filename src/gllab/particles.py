@@ -12,12 +12,18 @@ driving noise and tracks the Girsanov log weight
 together with the quadratic control cost.  Under the controlled law the
 weight is an exact exponential martingale even at finite dt, because the
 per-step increment is a Gaussian shift identity.
+
+One engine, ``_run``, steps every run in place.  It takes its normals
+from the caller's generator in blocks of several steps, drawn ahead on one
+helper thread per run, and its outputs and the generator's final state are
+bit-identical to drawing one (M, N) block per step.
 """
 
 from __future__ import annotations
 
 import math
 import time as _time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -160,29 +166,6 @@ class SimpleControl:
 # -- the engine ---------------------------------------------------------------
 
 
-def _advance(pot: Potential, charges: np.ndarray, dt: float,
-             noise: np.ndarray, psi: np.ndarray | None):
-    """One explicit step on charges of shape (..., N).
-
-    Returns (new_charges, log_weight_increment, cost_increment); the
-    increments are None when psi is None.
-    """
-    n = charges.shape[-1]
-    sqdt = math.sqrt(dt)
-    fp = np.asarray(pot.phi_prime(charges), dtype=float)
-    drift = 0.5 * n * n * (np.roll(fp, 1, axis=-1) - fp) * dt
-    db = sqdt * noise
-    if psi is not None:
-        db = db + psi * dt
-    dz = drift + n * db
-    new = charges + dz - np.roll(dz, -1, axis=-1)
-    if psi is None:
-        return new, None, None
-    cost = 0.5 * np.sum(psi ** 2, axis=-1) * dt
-    logw = -np.sum(psi * sqdt * noise, axis=-1) - cost
-    return new, logw, cost
-
-
 @dataclass(frozen=True)
 class ReplicaBatch:
     """Vectorized ensemble run: pairings, weights, costs per replica.
@@ -202,17 +185,29 @@ class ReplicaBatch:
     wall_time: float = 0.0
 
 
+# Bytes in one block of drawn-ahead normals; _run keeps two.
+NOISE_BLOCK_BYTES = 1 << 20
+
+
 def _run(pot: Potential, config: SimConfig, charges: np.ndarray,
          control: SimpleControl | None, sample_times: Sequence[float] | None,
          rng, pairing_functions: Sequence[Callable] = (),
          record_states: bool = False) -> ReplicaBatch:
     """March an (M, N) charge array over the horizon: the one stepping loop.
 
-    Every step draws one (M, N) normal block from ``rng``.  Sample times
-    snap to the nearest step-grid point; at each one the pairings with
-    ``pairing_functions`` (at site positions i/N), the running Girsanov
-    log weights and costs, and optionally the states are recorded.
-    Weights and costs stay zero without a control.
+    The noise comes from ``rng`` in (K, M, N) blocks of K steps, the most
+    that fit in NOISE_BLOCK_BYTES (at least one); the last block is trimmed.
+    One helper thread draws the next block into a second buffer while this
+    thread steps through the current one, and it is joined before ``_run``
+    returns or raises.  The step runs in place on a copy of the charges,
+    in the operation order of one (M, N) draw per step, so every output
+    and the generator's final state are bit-identical to that serial
+    stream.  The state is checked for finiteness after every step.
+
+    Sample times snap to the nearest step-grid point; at each one the
+    pairings with ``pairing_functions`` (at site positions i/N), the
+    running Girsanov log weights and costs, and optionally the states are
+    recorded.  Weights and costs stay zero without a control.
     """
     config.validate_stability(pot)
     m, n = charges.shape
@@ -222,6 +217,7 @@ def _run(pot: Potential, config: SimConfig, charges: np.ndarray,
         raise ValueError("control width does not match config")
     n_steps = config.n_steps()
     dt = config.horizon / n_steps
+    sqdt = math.sqrt(dt)
     if sample_times is None:
         sample_times = [0.0, config.horizon]
     sample_idx = np.clip(np.round(np.asarray(sample_times, dtype=float) / dt)
@@ -240,27 +236,68 @@ def _run(pot: Potential, config: SimConfig, charges: np.ndarray,
     cost_path = np.empty((s, m))
     logw = np.zeros(m)
     cost = np.zeros(m)
+    x = np.array(charges, dtype=float)
+    dz, db, dlogw = np.empty((m, n)), np.empty((m, n)), np.empty(m)
+    finite = np.empty((m, n), dtype=bool)
+    k_block = max(1, min(n_steps, NOISE_BLOCK_BYTES // (8 * m * n)))
+    blocks = (np.empty((k_block, m, n)), np.empty((k_block, m, n)))
+    outs = (blocks[c % 2][:min(k_block, n_steps - start)]
+            for c, start in enumerate(range(0, n_steps, k_block)))
+    # the control's next breakpoint: its piece terms are set once per piece
+    switch = -math.inf if control is not None else math.inf
 
     def record(step_index):
         for pos in lookup.get(step_index, ()):
             for q, jv in enumerate(j_vals):
-                pairings[q, pos] = charges @ jv / n
+                pairings[q, pos] = x @ jv / n
             if states is not None:
-                states[pos] = charges
+                states[pos] = x
             logw_path[pos] = logw
             cost_path[pos] = cost
 
     record(0)
-    for k in range(n_steps):
-        psi = control.values_at(k * dt) if control is not None else None
-        noise = rng.standard_normal(charges.shape)
-        charges, dlogw, dcost = _advance(pot, charges, dt, noise, psi)
-        if not np.all(np.isfinite(charges)):
-            raise NonFiniteState(f"state blew up at step {k + 1}")
-        if psi is not None:
-            logw += dlogw
-            cost += dcost
-        record(k + 1)
+    k = 0
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        pending = helper.submit(rng.standard_normal, out=next(outs))
+        while pending is not None:
+            block = pending.result()
+            out = next(outs, None)
+            pending = (None if out is None
+                       else helper.submit(rng.standard_normal, out=out))
+            for noise in block:
+                if k * dt >= switch:
+                    psi = control.values_at(k * dt)
+                    psi_dt, psi_sqdt = psi * dt, psi * sqdt
+                    dcost = 0.5 * np.sum(psi ** 2) * dt
+                    i = np.searchsorted(control.breakpoints, k * dt, "right")
+                    switch = control.breakpoints[i] \
+                        if i < control.breakpoints.size else math.inf
+                # dz = ((N*N/2) * (fp[i-1] - fp[i])) * dt + N * (sqrt(dt)
+                # * noise + psi*dt); x = (x + dz) - dz[i+1], in this order
+                fp = np.asarray(pot.phi_prime(x), dtype=float)
+                np.subtract(fp[:, -1], fp[:, 0], out=dz[:, 0])
+                np.subtract(fp[:, :-1], fp[:, 1:], out=dz[:, 1:])
+                dz *= 0.5 * n * n
+                dz *= dt
+                np.multiply(noise, sqdt, out=db)
+                if control is not None:
+                    db += psi_dt
+                db *= n
+                dz += db
+                x += dz
+                x[:, :-1] -= dz[:, 1:]
+                x[:, -1] -= dz[:, 0]
+                if not np.isfinite(x, out=finite).all():
+                    raise NonFiniteState(f"state blew up at step {k + 1}")
+                if control is not None:
+                    np.multiply(noise, psi_sqdt, out=db)
+                    np.sum(db, axis=1, out=dlogw)
+                    np.negative(dlogw, out=dlogw)
+                    dlogw -= dcost
+                    logw += dlogw
+                    cost += dcost
+                k += 1
+                record(k)
 
     return ReplicaBatch(
         sample_times=sample_idx * dt,

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from gllab.cli import DEFAULTS, load_config, main
 from gllab.errors import ConfigInvalid
+from gllab.rare_events import ExperimentReport
 
 
 def _write(tmp_path, name, text):
@@ -172,6 +173,26 @@ def test_ldp_subcommand_writes_both_csvs(tmp_path):
     reports = (out / "reports.csv").read_text().splitlines()
     assert reports[0] == "method,N,M,estimate,std_error,wall_time_s,seed"
     assert len(reports) == 3            # laplace + one bound, plus header
+
+
+def test_ldp_workers_do_not_change_outputs(tmp_path):
+    # each bound task owns its generator and its engine's noise thread
+    text = ("[ldp]\nn_list = 4,6\nreplicas = 60\nhorizon = 0.02\n"
+            "target = 0.1\nfamily = 0.05,0.1,0.15\nbound = 8\n")
+    out = {}
+    for workers in (1, 2):
+        ini = _write(tmp_path, f"w{workers}.ini",
+                     f"[run]\nseed = 5\nworkers = {workers}\n\n{text}")
+        out[workers] = tmp_path / f"out{workers}"
+        assert main(["ldp", "--config", ini,
+                     "--output-dir", str(out[workers])]) == 0
+    assert ((out[1] / "trend.csv").read_bytes()
+            == (out[2] / "trend.csv").read_bytes())
+    wall = ExperimentReport.CSV_HEADER.split(",").index("wall_time_s")
+    rows = [[line.split(",")[:wall] + line.split(",")[wall + 1:]
+             for line in (out[w] / "reports.csv").read_text().splitlines()]
+            for w in (1, 2)]
+    assert len(rows[0]) == 1 + 2 * 4 and rows[0] == rows[1]
 
 
 @pytest.mark.parametrize("subcommand, text, code", [

@@ -2,10 +2,12 @@
 
 import io
 import math
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gllab import (CFLViolation, LatticeState, NonFiniteState, SimConfig,
@@ -14,6 +16,7 @@ from gllab import (CFLViolation, LatticeState, NonFiniteState, SimConfig,
                    sample_initial_from_profile, sample_initial_matrix,
                    simulate_replicas, simulate_trajectory, stable_dt,
                    tilted_constant_profile, tilted_sine_profile)
+from gllab import particles
 from gllab.particles import _cell_positions
 
 
@@ -34,15 +37,16 @@ def test_one_step_matches_hand_rolled_update(gaussian):
     noise = np.asarray([1.0, -1.0, 0.5, 0.0, 2.0, -0.3])
 
     class FixedRng:
-        def standard_normal(self, size):
-            assert size == (1, n)          # the engine draws (M, N) blocks
-            return noise.reshape(size)
+        def standard_normal(self, out):
+            assert out.shape == (1, 1, n)  # one step's (K, M, N) block
+            out[...] = noise
+            return out
 
     rec = simulate_trajectory(gaussian, SimConfig(n, dt, dt), x,
                               rng=FixedRng())
-    dz = 0.5 * n * n * (np.roll(x, 1) - x) * dt + n * math.sqrt(dt) * noise
+    dz = 0.5 * n * n * (np.roll(x, 1) - x) * dt + n * (math.sqrt(dt) * noise)
     expected = x + dz - np.roll(dz, -1)
-    assert np.allclose(rec.states[-1], expected, atol=1e-15)
+    assert np.array_equal(rec.states[-1], expected)
     assert rec.state_at(1).time == pytest.approx(dt)
 
 
@@ -150,8 +154,16 @@ def test_state_at_returns_tagged_state(gaussian, rng):
 def test_unstable_run_raises_nonfinite(gaussian, rng):
     # deliberately bypass the stability default to force blow-up
     cfg = SimConfig(16, 40.0, 0.2, seed=0, stability_constant=999.0)
-    with pytest.raises(NonFiniteState):
+    threads = threading.active_count()
+    # two-step noise blocks, so a draw is pending when the state blows up
+    with mock.patch.object(particles, "NOISE_BLOCK_BYTES", 2 * 8 * 16), \
+            pytest.raises(NonFiniteState):
         simulate_trajectory(gaussian, cfg, np.ones(16), rng=rng)
+    # the noise helper thread is joined on error and on a normal run
+    assert threading.active_count() == threads
+    simulate_trajectory(gaussian, SimConfig(16, 0.01, 1e-4), np.ones(16),
+                        rng=rng)
+    assert threading.active_count() == threads
 
 
 def test_cell_positions_land_in_their_cells(rng):
@@ -262,3 +274,66 @@ def test_engine_single_replica_matches_trajectory(gaussian, n, steps, seed,
     assert np.max(np.abs(q - q[0])) <= 1e-10 * (1.0 + abs(q[0]))
     if ctrl is None:
         assert not np.any(rec.log_weight_path) and not np.any(rec.cost_path)
+
+
+def _advance(pot, charges, dt, noise, psi):
+    """Reference step: one (M, N) noise block, operations in the
+    documented order, allocating as it goes."""
+    n = charges.shape[-1]
+    sqdt = math.sqrt(dt)
+    fp = np.asarray(pot.phi_prime(charges), dtype=float)
+    drift = 0.5 * n * n * (np.roll(fp, 1, axis=-1) - fp) * dt
+    db = sqdt * noise
+    if psi is not None:
+        db = db + psi * dt
+    dz = drift + n * db
+    new = charges + dz - np.roll(dz, -1, axis=-1)
+    if psi is None:
+        return new, 0.0, 0.0
+    cost = 0.5 * np.sum(psi ** 2, axis=-1) * dt
+    logw = -np.sum(psi * sqdt * noise, axis=-1) - cost
+    return new, logw, cost
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 300), n=st.integers(1, 24),
+       steps=st.integers(1, 40), block_steps=st.integers(1, 9),
+       seed=st.integers(0, 2 ** 32 - 1), spec=_CONTROLS,
+       sample_steps=st.lists(st.integers(0, 40), max_size=6))
+@example(m=300, n=24, steps=40, block_steps=7, seed=1,
+         spec=("sine", 1.5, 6), sample_steps=[3, 11, 40])
+def test_run_matches_serial_reference(quartic, m, n, steps, block_steps,
+                                      seed, spec, sample_steps):
+    # quartic: phi' allocates, and a nonlinear drift moves more bits
+    horizon = steps * stable_dt(quartic, n)
+    cfg = SimConfig(n, horizon, stable_dt(quartic, n))
+    dt = horizon / cfg.n_steps()         # the engine's step
+    ctrl = _control(spec, n, horizon)
+    idx = sorted({min(i, steps) for i in sample_steps} | {0, steps})
+    jv = np.sin(2.0 * np.pi * (np.arange(1, n + 1) / n))
+    x0 = np.random.default_rng(seed + 1).standard_normal((m, n))
+    rng = np.random.default_rng(seed)
+    # one byte short of block_steps + 1 steps: K = block_steps
+    block_bytes = 8 * m * n * (block_steps + 1) - 1
+    with mock.patch.object(particles, "NOISE_BLOCK_BYTES", block_bytes):
+        batch = particles._run(
+            quartic, cfg, x0, ctrl, np.asarray(idx) * dt, rng,
+            [lambda th: np.sin(2.0 * np.pi * np.asarray(th))],
+            record_states=True)
+    ref_rng = np.random.default_rng(seed)
+    x, logw, cost = x0, np.zeros(m), np.zeros(m)
+    states, logws, costs = [x0], [logw], [cost]
+    for k in range(steps):
+        psi = ctrl.values_at(k * dt) if ctrl is not None else None
+        x, dlogw, dcost = _advance(quartic, x, dt,
+                                   ref_rng.standard_normal((m, n)), psi)
+        logw, cost = logw + dlogw, cost + dcost
+        states.append(x)
+        logws.append(logw)
+        costs.append(cost)
+    assert np.array_equal(batch.states, np.stack(states)[idx])
+    assert np.array_equal(batch.pairings[0],
+                          [states[i] @ jv / n for i in idx])
+    assert np.array_equal(batch.log_weight_path, np.stack(logws)[idx])
+    assert np.array_equal(batch.cost_path, np.stack(costs)[idx])
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
