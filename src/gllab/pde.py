@@ -12,6 +12,14 @@ piecewise-constant controls embedded from the particle system use the
 left cell's value instead so the embedding is exact.  Stability needs
 dt <= dtheta^2 / max H'(m); the solver validates this against the
 envelope curvature over the initial range and raises CFLViolation.
+
+The solver steps in place: the control flux of every time slice is
+computed before the loop, and each step writes the 3-point Laplacian into
+one preallocated buffer and the new level straight into the output
+field, with the floating-point grouping ((H[j+1] - 2 H[j]) + H[j-1],
+then m + diff*lap, then minus the flux) of the step written with
+``np.roll``.  Its envelope table, like every other built from the same
+range, comes from the potential's memo (see ``EnvelopeTable``).
 """
 
 from __future__ import annotations
@@ -92,12 +100,13 @@ class ControlGrid:
             % self.j_cells
         return self.values[kdx, jdx]
 
-    def face_values(self, k: int) -> np.ndarray:
-        """Right-face value for each cell on time slice k."""
+    def face_values(self, k) -> np.ndarray:
+        """Right-face value for each cell on time slice k (an index or a
+        slice of time slices)."""
         row = self.values[k]
         if self.face_mode == "left":
             return row
-        return 0.5 * (row + np.roll(row, -1))
+        return 0.5 * (row + np.roll(row, -1, axis=-1))
 
 
 @dataclass
@@ -188,15 +197,10 @@ def solve_controlled_pde(pot: Potential, m0, u: ControlGrid | None = None,
         n_steps = u.n_steps
     if horizon is None or not (horizon > 0):
         raise ValueError("horizon must be positive")
-    if callable(m0):
-        if j_cells is None:
-            raise ValueError("j_cells required with a callable initial density")
-        m = np.asarray(m0(np.arange(j_cells) / j_cells), dtype=float)
-    else:
-        m = np.asarray(m0, dtype=float).copy()
-        j_cells = m.size
-    m_arr, table = _resolve_grid(pot, m, j_cells)
-    m = m_arr.copy()
+    if callable(m0) and j_cells is None:
+        raise ValueError("j_cells required with a callable initial density")
+    m, table = _resolve_grid(pot, m0, j_cells)
+    j_cells = m.size
 
     dtheta = 1.0 / j_cells
     dt_max = CFL_SAFETY * dtheta ** 2 / table.max_curvature()
@@ -210,19 +214,28 @@ def solve_controlled_pde(pot: Potential, m0, u: ControlGrid | None = None,
             f"J={j_cells}, max H'={table.max_curvature():g})")
 
     diff = 0.5 * dt / dtheta ** 2
-    adv = dt / dtheta
+    flux = None
+    if u is not None:
+        right = u.face_values(slice(None))
+        flux = (dt / dtheta) * (right - np.roll(right, 1, axis=1))
     out = np.empty((n_steps + 1, j_cells))
     out[0] = m
+    lap = np.empty(j_cells)
     for k in range(n_steps):
-        hm = table(m)
-        lap = np.roll(hm, -1) - 2.0 * hm + np.roll(hm, 1)
-        m = m + diff * lap
-        if u is not None:
-            right = u.face_values(k)
-            m = m - adv * (right - np.roll(right, 1))
-        if not np.all(np.isfinite(m)):
+        hm = table(out[k])
+        # lap = (hm[j+1] - 2 hm[j]) + hm[j-1] on the circle, in place
+        np.multiply(hm, 2.0, out=lap)
+        np.subtract(hm[1:], lap[:-1], out=lap[:-1])
+        lap[-1] = hm[0] - lap[-1]
+        lap[1:] += hm[:-1]
+        lap[0] += hm[-1]
+        lap *= diff
+        nxt = out[k + 1]
+        np.add(out[k], lap, out=nxt)
+        if flux is not None:
+            nxt -= flux[k]
+        if not np.all(np.isfinite(nxt)):
             raise NonFiniteField(f"field blew up at step {k + 1}")
-        out[k + 1] = m
 
     return DensityField(out, horizon, range_escaped=table.range_escaped)
 

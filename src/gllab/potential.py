@@ -18,6 +18,7 @@ raised rather than returning a silently truncated value.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -51,6 +52,17 @@ FAMILY_TILTS = 129
 # Bytes of one row block of tilted integrands: 32 rows at the default 4096
 # nodes, about half of a 2 MB per-core L2 cache.
 STATS_BLOCK_BYTES = 1 << 20
+
+# Entries each cache of a Potential keeps before it drops its oldest: at
+# most 8 MB of tilt CDFs, 12.6 MB of envelope tables and 4 MB of forward
+# means at the default quadrature.
+CACHE_ENTRIES = 256
+
+
+def _read_only(a):
+    a = np.asarray(a)
+    a.flags.writeable = False
+    return a
 
 
 def _unachievable(what: str, quadrature) -> RootNotBracketed:
@@ -103,10 +115,15 @@ class Potential:
 
     The moment condition of ``SIGMA_CHECKS`` is verified at construction.
 
-    Instances are immutable after construction and safe to share across
-    threads; the tilted-sampling tables are the only caches and are
-    guarded by idempotent insertion.  No method keeps scratch state on
-    the instance: the quadrature kernels allocate their buffers per call.
+    Instances are safe to share across threads.  Their only mutable state
+    is three caches of deterministic results: the tilted-sampling CDFs
+    (``_tilt_tables``), finished envelope tables keyed on their exact
+    range, and the forward means of an envelope build keyed on its tilt
+    bracket.  Each holds at most ``CACHE_ENTRIES`` entries, dropping the
+    oldest first; insertion and eviction run under one lock, and two
+    threads that compute the same key store equal values.  No method
+    keeps scratch state on the instance: the quadrature kernels allocate
+    their buffers per call.
     """
 
     def __init__(self, phi, phi_prime, phi_double_prime,
@@ -146,6 +163,9 @@ class Potential:
             self._tail_checked_logsumexp(g, f"sigma moment check (sigma={sigma})")
 
         self._tilt_tables: dict[float, np.ndarray] = {}
+        self._envelopes: dict[tuple[float, float], tuple] = {}
+        self._forward_means: dict[tuple[float, float], np.ndarray] = {}
+        self._cache_lock = threading.Lock()
 
     # -- basic closures ------------------------------------------------
 
@@ -166,6 +186,14 @@ class Potential:
         return float(np.max(np.abs(self._raw_phi_double_prime(self._y[mask]))))
 
     # -- quadrature helpers --------------------------------------------
+
+    def _remember(self, cache, key, value):
+        """Store ``value`` under ``key``, dropping the oldest entries past
+        ``CACHE_ENTRIES``."""
+        with self._cache_lock:
+            cache[key] = value
+            while len(cache) > CACHE_ENTRIES:
+                del cache[next(iter(cache))]
 
     def _check_doubling(self, phi, z_coarse):
         q = self.quadrature
@@ -339,6 +367,49 @@ class Potential:
         rho = np.atleast_1d(rho)
         return lam * x - rho, lam
 
+    # -- envelope tables -------------------------------------------------
+
+    def _envelope(self, lo, hi):
+        """Read-only ``(xs, lams, vars)`` of the envelope table on [lo, hi].
+
+        Brackets the tilt range whose means cover [lo, hi], then inverts
+        the forward map lam -> mean by interpolation with two Newton
+        polishes, the last one tail-checked.  Root-finding per node would
+        redo the quadrature hundreds of times; this way costs three
+        vectorized passes.  A build is deterministic in (lo, hi), so it is
+        memoized under that exact key, and the forward pass under its
+        power-of-two tilt bracket; a failed build raises and is not kept.
+        """
+        key = (float(lo), float(hi))
+        table = self._envelopes.get(key)
+        if table is not None:
+            return table
+        lam_hi = 1.0
+        while self._tilted_stats(lam_hi)[1] < hi:
+            if lam_hi >= BRACKET_CAP:
+                raise _unachievable(f"mean value {hi:g}", self.quadrature)
+            lam_hi = min(lam_hi * 2.0, BRACKET_CAP)
+        lam_lo = -1.0
+        while self._tilted_stats(lam_lo)[1] > lo:
+            if lam_lo <= -BRACKET_CAP:
+                raise _unachievable(f"mean value {lo:g}", self.quadrature)
+            lam_lo = max(lam_lo * 2.0, -BRACKET_CAP)
+        lam_grid = np.linspace(lam_lo, lam_hi, ENVELOPE_NODES)
+        fwd_means = self._forward_means.get((lam_lo, lam_hi))
+        if fwd_means is None:
+            fwd_means = _read_only(self._tilted_stats(lam_grid)[1])
+            self._remember(self._forward_means, (lam_lo, lam_hi), fwd_means)
+
+        xs = np.linspace(lo, hi, ENVELOPE_NODES)
+        lams = np.interp(xs, fwd_means, lam_grid)
+        for tail_check in (False, True):
+            _, mean, var = self._tilted_stats(lams, tail_check=tail_check)
+            lams = np.clip(lams - (mean - xs) / np.maximum(var, 1e-300),
+                           lam_lo, lam_hi)
+        table = (_read_only(xs), _read_only(lams), _read_only(var))
+        self._remember(self._envelopes, key, table)
+        return table
+
     # -- tilted sampling -------------------------------------------------
 
     def _tilt_cdf(self, lam):
@@ -353,7 +424,7 @@ class Potential:
                 [[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * self._dy)])
             cdf /= cdf[-1]
             table = cdf
-            self._tilt_tables[key] = table
+            self._remember(self._tilt_tables, key, table)
         return table
 
     def sample_tilted(self, lam, rng, size=None):
@@ -424,13 +495,20 @@ class TiltedFamilySampler:
 
 
 class EnvelopeTable:
-    """Memoized piecewise-linear table of the envelope slope x -> lam*(x).
+    """Piecewise-linear table of the envelope slope x -> lam*(x).
 
     The PDE solver evaluates the envelope slope per cell per step; solving
     the tilt equation each time would dominate the runtime.  The table is
-    rebuilt with a doubled range whenever a query escapes it; if the
+    rebuilt with a widened range whenever a query escapes it; if the
     underlying solve itself fails, queries are clamped, a warning is
     emitted once, and ``range_escaped`` is set.
+
+    A build runs the tail check on its final tilts, so a range whose slopes
+    the quadrature window cannot resolve fails like an unattainable one.
+    Finished builds are memoized on the potential under their exact range
+    (see :meth:`Potential._envelope`), so tables over the same range share
+    read-only node arrays, bit-for-bit what a fresh build gives; each
+    table keeps its own range and ``range_escaped`` flag.
     """
 
     def __init__(self, pot: Potential, lo: float, hi: float):
@@ -442,34 +520,7 @@ class EnvelopeTable:
         if hi - lo < 1e-6:
             mid = 0.5 * (lo + hi)
             lo, hi = mid - 0.5, mid + 0.5
-        pot = self._pot
-        # Bracket the tilt range whose means cover [lo, hi], then invert
-        # the forward map lam -> mean by interpolation with Newton polish.
-        # Root-finding per node would redo the quadrature hundreds of
-        # times; this way costs four vectorized passes.
-        lam_hi = 1.0
-        while pot._tilted_stats(lam_hi)[1] < hi:
-            if lam_hi >= BRACKET_CAP:
-                raise _unachievable(f"mean value {hi:g}", pot.quadrature)
-            lam_hi = min(lam_hi * 2.0, BRACKET_CAP)
-        lam_lo = -1.0
-        while pot._tilted_stats(lam_lo)[1] > lo:
-            if lam_lo <= -BRACKET_CAP:
-                raise _unachievable(f"mean value {lo:g}", pot.quadrature)
-            lam_lo = max(lam_lo * 2.0, -BRACKET_CAP)
-        lam_grid = np.linspace(lam_lo, lam_hi, ENVELOPE_NODES)
-        _, fwd_means, _ = pot._tilted_stats(lam_grid)
-
-        xs = np.linspace(lo, hi, ENVELOPE_NODES)
-        lams = np.interp(xs, fwd_means, lam_grid)
-        var = None
-        for _ in range(2):
-            _, mean, var = pot._tilted_stats(lams)
-            lams = np.clip(lams - (mean - xs) / np.maximum(var, 1e-300),
-                           lam_lo, lam_hi)
-        self._xs = xs
-        self._lams = lams
-        self._vars = np.asarray(var)
+        self._xs, self._lams, self._vars = self._pot._envelope(lo, hi)
         self.lo = lo
         self.hi = hi
 

@@ -59,12 +59,9 @@ def _defect(pot: Potential, field: DensityField) -> np.ndarray:
     dth = field.dtheta
     table = EnvelopeTable(pot, float(np.min(vals)) - 1.0,
                           float(np.max(vals)) + 1.0)
-    g = np.empty((field.n_steps, field.j_cells))
-    for k in range(field.n_steps):
-        hm = table(vals[k])
-        lap = np.roll(hm, -1) - 2.0 * hm + np.roll(hm, 1)
-        g[k] = (vals[k + 1] - vals[k]) / dt - 0.5 * lap / dth ** 2
-    return g
+    hm = table(vals[:-1])
+    lap = np.roll(hm, -1, axis=1) - 2.0 * hm + np.roll(hm, 1, axis=1)
+    return (vals[1:] - vals[:-1]) / dt - 0.5 * lap / dth ** 2
 
 
 def minimal_control(pot: Potential, field: DensityField):

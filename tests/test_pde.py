@@ -2,13 +2,17 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gllab import (CFLViolation, ControlGrid, cfl_time_steps, contraction_gap,
-                   control_l2_distance, minimal_control_embedding,
-                   SimpleControl, solve_controlled_pde, weak_form_residual)
+from gllab import (CFLViolation, ControlGrid, EnvelopeTable, NonFiniteField,
+                   cfl_time_steps, contraction_gap, control_l2_distance,
+                   minimal_control_embedding, SimpleControl,
+                   solve_controlled_pde, weak_form_residual)
 
 
 def _sine(j):
@@ -159,3 +163,82 @@ def test_quartic_solve_stays_bounded(quartic):
     assert np.max(np.abs(field.values)) <= 0.6 + 1e-9
     masses = field.masses()
     assert np.max(np.abs(masses - masses[0])) < 1e-13
+
+
+def _roll_reference(pot, m0, u, horizon, n_steps):
+    """The explicit scheme stepped one slice at a time with np.roll, as
+    solve_controlled_pde wrote it before it stepped in place.  Returns
+    (field values, range_escaped, whether the table was rebuilt)."""
+    m = np.asarray(m0, dtype=float).copy()
+    j_cells = m.size
+    lo, hi = float(np.min(m)), float(np.max(m))
+    pad = max(hi - lo, 1.0)
+    table = EnvelopeTable(pot, lo - pad, hi + pad)
+    first = (table.lo, table.hi)
+    dtheta = 1.0 / j_cells
+    dt = horizon / n_steps
+    diff = 0.5 * dt / dtheta ** 2
+    adv = dt / dtheta
+    out = np.empty((n_steps + 1, j_cells))
+    out[0] = m
+    for k in range(n_steps):
+        hm = table(m)
+        lap = np.roll(hm, -1) - 2.0 * hm + np.roll(hm, 1)
+        m = m + diff * lap
+        if u is not None:
+            row = u.values[k]
+            right = row if u.face_mode == "left" \
+                else 0.5 * (row + np.roll(row, -1))
+            m = m - adv * (right - np.roll(right, 1))
+        if not np.all(np.isfinite(m)):
+            raise NonFiniteField(f"field blew up at step {k + 1}")
+        out[k + 1] = m
+    return out, table.range_escaped, (table.lo, table.hi) != first
+
+
+def _compare_with_reference(pot, m0, u, horizon, n_steps):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")       # clamped queries warn
+        ref, escaped, rebuilt = _roll_reference(pot, m0, u, horizon,
+                                                n_steps)
+        field = solve_controlled_pde(pot, m0, u, horizon=horizon,
+                                     j_cells=m0.size, n_steps=n_steps)
+    assert np.array_equal(field.values, ref)
+    assert field.range_escaped == escaped
+    return rebuilt, escaped
+
+
+# dt = 0.4 dtheta^2 sits inside the Gaussian's CFL bound (max H' = 1); a
+# control of scale c moves a cell by about 0.4 c dtheta per step, so the
+# larger scales carry the field out of its first table (a mid-solve
+# rebuild) and past the resolvable range (clamping)
+@settings(max_examples=30, deadline=None)
+@given(j=st.integers(1, 40), n_steps=st.integers(1, 60),
+       mode=st.sampled_from([None, "centered", "left"]),
+       scale=st.sampled_from([0.0, 0.5, 3.0, 20.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(j=16, n_steps=60, mode="centered", scale=3.0, seed=1)
+@example(j=16, n_steps=60, mode="left", scale=20.0, seed=2)
+def test_in_place_step_matches_roll_reference(gaussian, j, n_steps, mode,
+                                              scale, seed):
+    rng = np.random.default_rng(seed)
+    m0 = rng.uniform(-1.0, 1.0, j)
+    horizon = 0.4 * n_steps / j ** 2
+    u = None if mode is None else ControlGrid(
+        scale * rng.standard_normal((n_steps, j)), horizon, face_mode=mode)
+    _compare_with_reference(gaussian, m0, u, horizon, n_steps)
+
+
+def test_in_place_step_matches_reference_through_rebuild_and_clamp(gaussian):
+    j, n_steps = 16, 60
+    horizon = 0.4 * n_steps / j ** 2
+    theta = np.arange(j) / j
+    m0 = 0.5 * np.sin(2.0 * np.pi * theta)
+    strong = lambda c: ControlGrid(np.tile(c * np.cos(2.0 * np.pi * theta),
+                                           (n_steps, 1)), horizon)
+    # a moderate push leaves the first table's range [-1.5, 1.5] ...
+    assert _compare_with_reference(gaussian, m0, strong(8.0), horizon,
+                                   n_steps) == (True, False)
+    # ... a strong one passes the quadrature window's resolvable range
+    assert _compare_with_reference(gaussian, m0, strong(30.0), horizon,
+                                   n_steps) == (True, True)

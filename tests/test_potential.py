@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from scipy.integrate import quad
 import gllab
 from gllab import (EnvelopeTable, Potential, QuadratureSpec,
                    QuadratureDiverged, RootNotBracketed,
-                   TiltedFamilySampler, quartic_potential)
+                   TiltedFamilySampler, gaussian_potential, quartic_potential)
+from gllab import potential as potential_mod
 
 
 def test_gaussian_log_mgf_matches_half_lambda_squared(gaussian):
@@ -248,6 +250,123 @@ def test_envelope_table_clamps_when_unresolvable(gaussian):
     with pytest.warns(UserWarning):
         table(np.asarray([500.0]))     # beyond any attainable tilt
     assert table.range_escaped
+
+
+def test_envelope_table_tail_checks_its_build(gaussian):
+    # lambda*(x) = x for the Gaussian; past x of about 5.2 the tilted
+    # density leaks more than TAIL_BUDGET over the +12 edge
+    with pytest.raises(QuadratureDiverged):
+        EnvelopeTable(gaussian, 0.0, 9.0)
+    table = EnvelopeTable(gaussian, -0.5, 0.5)
+    assert table(np.asarray([4.0]))[0] == pytest.approx(4.0, abs=1e-8)
+    assert not table.range_escaped
+    with pytest.warns(UserWarning):
+        table(np.asarray([8.0]))
+    assert table.range_escaped
+    assert table.hi < 5.3
+
+
+def _table_bytes(table):
+    return table._xs.tobytes() + table._lams.tobytes() + table._vars.tobytes()
+
+
+@pytest.mark.parametrize("make", [gaussian_potential,
+                                  lambda: quartic_potential(1.0, 1.0)])
+def test_envelope_memo_hit_equals_fresh_build(make):
+    pot = make()
+    first = EnvelopeTable(pot, -1.3, 1.7)
+    again = EnvelopeTable(pot, -1.3, 1.7)          # exact-range hit
+    assert again._lams is first._lams
+    # same power-of-two tilt bracket, new range: reuses the forward pass
+    sibling = EnvelopeTable(pot, -1.5, 1.6)
+    assert len(pot._forward_means) == 1
+    for table in (first, again, sibling):
+        fresh = EnvelopeTable(make(), table.lo, table.hi)
+        assert _table_bytes(table) == _table_bytes(fresh)
+        for arr in (table._xs, table._lams, table._vars):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+    # the widened degenerate range is the key, and each table keeps its
+    # own range and flag
+    point = EnvelopeTable(pot, 0.25, 0.25)
+    assert (point.lo, point.hi) == (-0.25, 0.75)
+    assert (-0.25, 0.75) in pot._envelopes
+    with pytest.warns(UserWarning):
+        first(np.asarray([500.0]))
+    assert first.range_escaped and not again.range_escaped
+
+
+def test_envelope_memo_keeps_no_failed_build():
+    pot = gaussian_potential()
+    for _ in range(2):
+        with pytest.raises(QuadratureDiverged):
+            EnvelopeTable(pot, 0.0, 9.0)
+        with pytest.raises(RootNotBracketed):
+            EnvelopeTable(pot, 0.0, 500.0)
+    assert pot._envelopes == {}
+
+
+def test_threads_building_one_range_agree():
+    pot = gaussian_potential()
+    barrier = threading.Barrier(2)
+    tables = [None, None]
+
+    def build(i):
+        barrier.wait(timeout=60)
+        tables[i] = EnvelopeTable(pot, -0.7, 2.1)
+
+    threads = [threading.Thread(target=build, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    fresh = EnvelopeTable(gaussian_potential(), -0.7, 2.1)
+    assert _table_bytes(tables[0]) == _table_bytes(fresh)
+    assert _table_bytes(tables[1]) == _table_bytes(fresh)
+    assert list(pot._envelopes) == [(-0.7, 2.1)]
+
+
+def test_caches_are_bounded(monkeypatch):
+    monkeypatch.setattr(potential_mod, "CACHE_ENTRIES", 4)
+    pot = gaussian_potential()
+    lams = np.linspace(-1.0, 1.0, 10)
+    cdfs = [pot._tilt_cdf(lam) for lam in lams]
+    assert list(pot._tilt_tables) == [float(np.round(l, 12))
+                                      for l in lams[-4:]]
+    for lam, cdf in zip(lams, cdfs):            # an evicted CDF comes back
+        assert np.array_equal(pot._tilt_cdf(lam), cdf)
+    for k in range(6):
+        EnvelopeTable(pot, -0.5 - 0.5 * k, 0.5)
+    assert len(pot._envelopes) == 4 and len(pot._forward_means) <= 4
+
+    # more threads than cores inserting and evicting the same keys, with
+    # frequent thread switches: no insert fails, the cap holds, and every
+    # key keeps its own value
+    errors = []
+
+    def insert(offset):
+        try:
+            for i in range(3000):
+                key = (i + offset) % 7
+                pot._remember(pot._tilt_tables, key, key)
+        except Exception as exc:              # pragma: no cover
+            errors.append(exc)
+
+    threads = [threading.Thread(target=insert, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and len(pot._tilt_tables) == 4
+    assert all(key == value for key, value in pot._tilt_tables.items())
 
 
 def test_max_curvature_gaussian_is_one(gaussian):

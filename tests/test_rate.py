@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gllab import (ControlGrid, DensityField, NotMeanZero, RateDecomposition,
+from gllab import (ControlGrid, DensityField, EnvelopeTable, NotMeanZero,
+                   RateDecomposition,
                    cfl_time_steps, dynamic_cost_via_seminorm,
                    h_minus_one_seminorm, initial_cost, minimal_control, rate,
                    solve_controlled_pde)
+from gllab.rate import _defect
 
 
 def _grid(j):
@@ -112,3 +116,43 @@ def test_csv_row_shape():
     assert len(row) == 4
     assert row[3] == "true"
     assert float(row[0]) == 0.25
+
+
+def _defect_by_rows(pot, field):
+    """The defect one time slice at a time, as ``_defect`` computed it
+    before it made one table lookup over the whole field."""
+    vals = field.values
+    dt, dth = field.dt, field.dtheta
+    table = EnvelopeTable(pot, float(np.min(vals)) - 1.0,
+                          float(np.max(vals)) + 1.0)
+    g = np.empty((field.n_steps, field.j_cells))
+    for k in range(field.n_steps):
+        hm = table(vals[k])
+        lap = np.roll(hm, -1) - 2.0 * hm + np.roll(hm, 1)
+        g[k] = (vals[k + 1] - vals[k]) / dt - 0.5 * lap / dth ** 2
+    return g
+
+
+@settings(max_examples=25, deadline=None)
+@given(j=st.integers(1, 40), n_steps=st.integers(1, 30),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_vectorised_defect_matches_rows(gaussian, quartic, j, n_steps, seed):
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(-1.5, 1.5, (n_steps + 1, j))
+    vals.flat[:2] = -1.5, 1.5       # one table range, memoized after once
+    field = DensityField(vals, horizon=rng.uniform(0.01, 1.0))
+    for pot in (gaussian, quartic):
+        assert np.array_equal(_defect(pot, field),
+                              _defect_by_rows(pot, field))
+
+
+def test_vectorised_defect_matches_rows_on_a_solved_path(gaussian):
+    j = 32
+    steps = cfl_time_steps(gaussian, lambda th: np.ones_like(th), j, 0.02)
+    u = ControlGrid.from_function(
+        lambda t, th: 0.8 * np.sin(2.0 * np.pi * th) * (1.0 + t), steps, j,
+        0.02)
+    field = solve_controlled_pde(gaussian, 0.7 * np.cos(2.0 * np.pi
+                                                       * _grid(j)), u)
+    assert np.array_equal(_defect(gaussian, field),
+                          _defect_by_rows(gaussian, field))
