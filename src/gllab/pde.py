@@ -169,7 +169,7 @@ def _resolve_grid(pot: Potential, m0, j_cells):
     lo = float(np.min(m0_arr))
     hi = float(np.max(m0_arr))
     pad = max(hi - lo, 1.0)
-    table = EnvelopeTable(pot, lo - pad, hi + pad)
+    table = EnvelopeTable.padded(pot, lo, hi, pad)
     return m0_arr, table
 
 
@@ -266,8 +266,8 @@ def weak_form_residual(pot: Potential, field: DensityField,
     jp = np.fft.irfft(jhat * freq, n=j)
     jpp = np.fft.irfft(jhat * freq ** 2, n=j)
 
-    table = EnvelopeTable(pot, float(np.min(field.values)) - 1.0,
-                          float(np.max(field.values)) + 1.0)
+    table = EnvelopeTable.padded(pot, float(np.min(field.values)),
+                                 float(np.max(field.values)), 1.0)
     boundary = (np.sum(field.values[k_end] * jv)
                 - np.sum(field.values[0] * jv)) * dtheta
     diffusive = 0.0

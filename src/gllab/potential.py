@@ -54,8 +54,8 @@ FAMILY_TILTS = 129
 STATS_BLOCK_BYTES = 1 << 20
 
 # Entries each cache of a Potential keeps before it drops its oldest: at
-# most 8 MB of tilt CDFs, 12.6 MB of envelope tables and 4 MB of forward
-# means at the default quadrature.
+# most 8 MB of tilt CDFs and 12.6 MB of envelope tables at the default
+# quadrature.
 CACHE_ENTRIES = 256
 
 
@@ -116,12 +116,11 @@ class Potential:
     The moment condition of ``SIGMA_CHECKS`` is verified at construction.
 
     Instances are safe to share across threads.  Their only mutable state
-    is three caches of deterministic results: the tilted-sampling CDFs
-    (``_tilt_tables``), finished envelope tables keyed on their exact
-    range, and the forward means of an envelope build keyed on its tilt
-    bracket.  Each holds at most ``CACHE_ENTRIES`` entries, dropping the
-    oldest first; insertion and eviction run under one lock, and two
-    threads that compute the same key store equal values.  No method
+    is two caches of deterministic results: the tilted-sampling CDFs
+    (``_tilt_tables``) and finished envelope tables keyed on their exact
+    range (``_envelopes``).  Each holds at most ``CACHE_ENTRIES`` entries,
+    dropping the oldest first; insertion and eviction run under one lock,
+    and two threads that compute the same key store equal values.  No method
     keeps scratch state on the instance: the quadrature kernels allocate
     their buffers per call.
     """
@@ -164,7 +163,6 @@ class Potential:
 
         self._tilt_tables: dict[float, np.ndarray] = {}
         self._envelopes: dict[tuple[float, float], tuple] = {}
-        self._forward_means: dict[tuple[float, float], np.ndarray] = {}
         self._cache_lock = threading.Lock()
 
     # -- basic closures ------------------------------------------------
@@ -377,8 +375,8 @@ class Potential:
         polishes, the last one tail-checked.  Root-finding per node would
         redo the quadrature hundreds of times; this way costs three
         vectorized passes.  A build is deterministic in (lo, hi), so it is
-        memoized under that exact key, and the forward pass under its
-        power-of-two tilt bracket; a failed build raises and is not kept.
+        memoized under that exact key; a failed build raises and is not
+        kept.
         """
         key = (float(lo), float(hi))
         table = self._envelopes.get(key)
@@ -395,10 +393,7 @@ class Potential:
                 raise _unachievable(f"mean value {lo:g}", self.quadrature)
             lam_lo = max(lam_lo * 2.0, -BRACKET_CAP)
         lam_grid = np.linspace(lam_lo, lam_hi, ENVELOPE_NODES)
-        fwd_means = self._forward_means.get((lam_lo, lam_hi))
-        if fwd_means is None:
-            fwd_means = _read_only(self._tilted_stats(lam_grid)[1])
-            self._remember(self._forward_means, (lam_lo, lam_hi), fwd_means)
+        fwd_means = self._tilted_stats(lam_grid)[1]
 
         xs = np.linspace(lo, hi, ENVELOPE_NODES)
         lams = np.interp(xs, fwd_means, lam_grid)
@@ -494,6 +489,18 @@ class TiltedFamilySampler:
         return out
 
 
+def _build_padded(build, lo, hi, pad):
+    """``build(lo - pad, hi + pad)``, or ``build(lo, hi)`` if that fails.
+
+    The padding only spares later rebuilds, so a padded range past what
+    the quadrature resolves must not fail a range that it resolves.
+    """
+    try:
+        return build(lo - pad, hi + pad)
+    except (RootNotBracketed, QuadratureDiverged):
+        return build(lo, hi)
+
+
 class EnvelopeTable:
     """Piecewise-linear table of the envelope slope x -> lam*(x).
 
@@ -505,6 +512,9 @@ class EnvelopeTable:
 
     A build runs the tail check on its final tilts, so a range whose slopes
     the quadrature window cannot resolve fails like an unattainable one.
+    Padding a range only spares later rebuilds, so a padded build that
+    fails (a regrowth here, or :meth:`padded`) falls back to the values
+    actually asked for.
     Finished builds are memoized on the potential under their exact range
     (see :meth:`Potential._envelope`), so tables over the same range share
     read-only node arrays, bit-for-bit what a fresh build gives; each
@@ -515,6 +525,12 @@ class EnvelopeTable:
         self._pot = pot
         self.range_escaped = False
         self._build(lo, hi)
+
+    @classmethod
+    def padded(cls, pot: Potential, lo: float, hi: float, pad: float):
+        """Table over [lo - pad, hi + pad], or over [lo, hi] alone when the
+        potential cannot resolve the padded range."""
+        return _build_padded(lambda a, b: cls(pot, a, b), lo, hi, pad)
 
     def _build(self, lo, hi):
         if hi - lo < 1e-6:
@@ -532,10 +548,9 @@ class EnvelopeTable:
         m = np.asarray(m, dtype=float)
         mn, mx = float(np.min(m)), float(np.max(m))
         while mn < self.lo or mx > self.hi:
-            span = self.hi - self.lo
             try:
-                self._build(min(mn, self.lo) - 0.5 * span,
-                            max(mx, self.hi) + 0.5 * span)
+                _build_padded(self._build, min(mn, self.lo),
+                              max(mx, self.hi), 0.5 * (self.hi - self.lo))
             except (RootNotBracketed, QuadratureDiverged):
                 if not self.range_escaped:
                     warnings.warn(

@@ -57,8 +57,8 @@ def _defect(pot: Potential, field: DensityField) -> np.ndarray:
     vals = field.values
     dt = field.dt
     dth = field.dtheta
-    table = EnvelopeTable(pot, float(np.min(vals)) - 1.0,
-                          float(np.max(vals)) + 1.0)
+    table = EnvelopeTable.padded(pot, float(np.min(vals)),
+                                 float(np.max(vals)), 1.0)
     hm = table(vals[:-1])
     lap = np.roll(hm, -1, axis=1) - 2.0 * hm + np.roll(hm, 1, axis=1)
     return (vals[1:] - vals[:-1]) / dt - 0.5 * lap / dth ** 2

@@ -142,6 +142,31 @@ def test_contraction_certificate_on_one_pair(gaussian):
     assert 0.0 < lhs <= rhs + 1e-9
 
 
+@pytest.mark.parametrize("amp", [2.5, 5.0])
+def test_solve_covers_a_start_whose_padding_is_unresolvable(gaussian, amp):
+    # the solver pads m0's range (-A, A) to (-3A, 3A) and the weak form
+    # pads the field's by 1; past about 6.2 the Gaussian's tilted
+    # densities leak out of the quadrature window, so both tables fall
+    # back to the unpadded range instead of failing
+    j, horizon = 32, 0.01
+    m0 = amp * _sine(j)
+    field = solve_controlled_pde(gaussian, m0, horizon=horizon, j_cells=j)
+    assert field.n_steps == cfl_time_steps(gaussian, m0, j, horizon)
+    assert not field.range_escaped
+    expected = math.exp(-2.0 * math.pi ** 2 * horizon) * m0
+    assert np.max(np.abs(field.values[-1] - expected)) < 3e-4 * amp
+    res = weak_form_residual(gaussian, field, None,
+                             lambda th: np.sin(2.0 * np.pi * th), horizon)
+    assert res < 4e-4 * amp
+
+
+def test_cfl_steps_of_a_start_whose_padding_is_unresolvable(gaussian):
+    # a constant 5.6 pads to (4.6, 6.6); the Gaussian's slope is x, so the
+    # step count is the same as from any resolvable constant
+    steps = cfl_time_steps(gaussian, 0.5 * np.ones(64), 64, 0.1)
+    assert cfl_time_steps(gaussian, 5.6 * np.ones(64), 64, 0.1) == steps
+
+
 def test_density_field_slices_and_csv(gaussian):
     j = 16
     field = solve_controlled_pde(gaussian, _sine(j), horizon=0.01, j_cells=j)

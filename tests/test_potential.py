@@ -253,7 +253,7 @@ def test_envelope_table_clamps_when_unresolvable(gaussian):
 
 
 def test_envelope_table_tail_checks_its_build(gaussian):
-    # lambda*(x) = x for the Gaussian; past x of about 5.2 the tilted
+    # lambda*(x) = x for the Gaussian; past x of about 6.2 the tilted
     # density leaks more than TAIL_BUDGET over the +12 edge
     with pytest.raises(QuadratureDiverged):
         EnvelopeTable(gaussian, 0.0, 9.0)
@@ -264,6 +264,21 @@ def test_envelope_table_tail_checks_its_build(gaussian):
         table(np.asarray([8.0]))
     assert table.range_escaped
     assert table.hi < 5.3
+
+
+def test_envelope_table_drops_unresolvable_padding(gaussian):
+    # growing (-4.5, 4.5) to 4.6 pads to about (-9.1, 9.1), past what the
+    # Gaussian's quadrature resolves; the table grows to 4.6 alone
+    table = EnvelopeTable(gaussian, -4.5, 4.5)
+    assert table(np.asarray([4.6]))[0] == pytest.approx(4.6, abs=1e-8)
+    assert (table.lo, table.hi) == (-4.5, 4.6)
+    assert not table.range_escaped
+    padded = EnvelopeTable.padded(gaussian, -1.0, 1.0, 1.0)
+    assert (padded.lo, padded.hi) == (-2.0, 2.0)
+    fallback = EnvelopeTable.padded(gaussian, -2.5, 2.5, 5.0)
+    assert (fallback.lo, fallback.hi) == (-2.5, 2.5)
+    with pytest.raises(QuadratureDiverged):
+        EnvelopeTable.padded(gaussian, 0.0, 9.0, 1.0)
 
 
 def _table_bytes(table):
@@ -277,9 +292,8 @@ def test_envelope_memo_hit_equals_fresh_build(make):
     first = EnvelopeTable(pot, -1.3, 1.7)
     again = EnvelopeTable(pot, -1.3, 1.7)          # exact-range hit
     assert again._lams is first._lams
-    # same power-of-two tilt bracket, new range: reuses the forward pass
-    sibling = EnvelopeTable(pot, -1.5, 1.6)
-    assert len(pot._forward_means) == 1
+    sibling = EnvelopeTable(pot, -1.5, 1.6)       # new range: a build
+    assert len(pot._envelopes) == 2
     for table in (first, again, sibling):
         fresh = EnvelopeTable(make(), table.lo, table.hi)
         assert _table_bytes(table) == _table_bytes(fresh)
@@ -339,7 +353,7 @@ def test_caches_are_bounded(monkeypatch):
         assert np.array_equal(pot._tilt_cdf(lam), cdf)
     for k in range(6):
         EnvelopeTable(pot, -0.5 - 0.5 * k, 0.5)
-    assert len(pot._envelopes) == 4 and len(pot._forward_means) <= 4
+    assert len(pot._envelopes) == 4
 
     # more threads than cores inserting and evicting the same keys, with
     # frequent thread switches: no insert fails, the cap holds, and every

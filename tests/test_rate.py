@@ -11,7 +11,7 @@ from gllab import (ControlGrid, DensityField, EnvelopeTable, NotMeanZero,
                    RateDecomposition,
                    cfl_time_steps, dynamic_cost_via_seminorm,
                    h_minus_one_seminorm, initial_cost, minimal_control, rate,
-                   solve_controlled_pde)
+                   sine_target_field, solve_controlled_pde)
 from gllab.rate import _defect
 
 
@@ -75,6 +75,21 @@ def test_unattainable_initial_slice_is_infeasible(gaussian):
     dec = rate(gaussian, DensityField(vals, horizon=0.01))
     assert not dec.feasible
     assert math.isinf(dec.total)
+
+
+def test_rate_of_a_path_whose_padding_is_unresolvable(gaussian):
+    # the defect's table pads the field's range (-6, 6) by 1, past
+    # what the Gaussian's quadrature resolves, and falls back to the
+    # range itself; the Gaussian's equation is linear, so both costs
+    # scale with the square of the amplitude
+    small = rate(gaussian, sine_target_field(0.5, 0.05, 32, 200))
+    large = rate(gaussian, sine_target_field(3.0, 0.05, 32, 200))
+    assert large.feasible and math.isfinite(large.total)
+    scale = (3.0 / 0.5) ** 2
+    assert large.initial_cost == pytest.approx(scale * small.initial_cost,
+                                               rel=1e-9)
+    assert large.dynamic_cost == pytest.approx(scale * small.dynamic_cost,
+                                               rel=1e-9)
 
 
 def test_seminorm_oracles():
