@@ -35,28 +35,3 @@ from .rate import (RateDecomposition, dynamic_cost_via_seminorm,
                    h_minus_one_seminorm, initial_cost, minimal_control, rate)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AtomicSignedMeasure", "CFLViolation", "ConfigInvalid", "ControlGrid",
-    "CumulantGenerator", "DegenerateEstimate", "DensityField",
-    "EnvelopeTable", "ExperimentReport", "Functional", "GLLabError",
-    "LatticeState", "MeasurePath", "NonFiniteField", "NonFiniteState",
-    "NotMeanZero", "Potential", "ProfileMeasure", "QuadratureDiverged",
-    "QuadratureSpec", "RateDecomposition", "ReplicaBatch", "RootNotBracketed",
-    "SimConfig", "SimpleControl", "SteeringPlan",
-    "TiltedFamilySampler", "TimeGridMismatch", "TrajectoryRecord", "TrendRow",
-    "bl_distance", "cfl_time_steps", "contraction_gap", "control_l2_distance",
-    "d_star", "density_to_atoms", "deterministic_profile",
-    "dynamic_cost_via_seminorm", "entropy_cost_of_profile",
-    "equilibrium_profile", "from_state", "gaussian_potential",
-    "h_minus_one_seminorm", "importance_sampled_expectation", "initial_cost",
-    "laplace_functional_mc", "ldp_trend_study", "make_potential",
-    "measure_path_to_csv", "minimal_control", "minimal_control_embedding",
-    "path_from_density_slices", "path_from_record", "plain_expectation",
-    "quartic_potential", "rate", "sample_initial_from_profile",
-    "sample_initial_matrix", "simulate_replicas",
-    "simulate_trajectory", "sine_target_field", "solve_controlled_pde",
-    "stable_dt", "steering_plan", "tilted_constant_profile", "tilted_profile",
-    "tilted_sine_profile", "trend_gaps", "variational_upper_bound",
-    "weak_form_residual",
-]

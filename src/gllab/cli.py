@@ -31,18 +31,24 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, particles
 from .errors import ConfigInvalid, GLLabError
 from .particles import (SimConfig, SimpleControl, deterministic_profile,
-                        equilibrium_profile, sample_initial_from_profile,
-                        simulate_trajectory, stable_dt, tilted_sine_profile)
+                        equilibrium_profile, simulate_replicas, stable_dt,
+                        tilted_sine_profile)
 from .pde import ControlGrid, cfl_time_steps, solve_controlled_pde
 from .potential import make_potential
 from .rare_events import (ExperimentReport, Functional, TrendRow,
-                          ldp_trend_study)
+                          STEERING_CELLS, ldp_trend_study, steering_steps)
 from .rate import RateDecomposition, rate
 
 ENV_OUTPUT_DIR = "GLLAB_OUTPUT_DIR"
+
+# A plan is impossible, and exits 2 before anything is allocated, when its
+# step count reaches 2**53, past which the step times k*dt are not exact,
+# or when its output arrays alone exceed this machine's physical memory.
+MAX_STEPS = 2 ** 53
+MEMORY_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 # -- value kinds: each parser maps INI text to a checked value ----------------
@@ -239,9 +245,36 @@ def _create(out: Path, name: str):
     return open(out / name, "w")
 
 
+def _check_steps(keys: str, steps):
+    if not steps < MAX_STEPS:
+        raise ConfigInvalid(f"{keys} plan 2**53 or more time steps, past "
+                            "which the step times k*dt are not exact")
+
+
+def _check_size(keys: str, n_floats: int):
+    if 8 * n_floats > MEMORY_BYTES:
+        raise ConfigInvalid(f"{keys} plan output arrays larger than this "
+                            f"machine's {MEMORY_BYTES / 2 ** 30:.3g} GiB "
+                            "of memory")
+
+
+def _steps_or_inf(count, *args):
+    """``count(*args)``, or inf where the step count overflows a float."""
+    try:
+        return count(*args)
+    except OverflowError:
+        return math.inf
+
+
 def cmd_simulate(pot, cfg, out: Path):
     s, seed = cfg["simulate"], cfg["run"].seed
+    # replicas run in groups whose (M, N) step fits one noise block
+    group = min(s.replicas,
+                max(1, particles.NOISE_BLOCK_BYTES // (8 * s.n_sites)))
+    _check_size("[simulate] n_sites and snapshots",
+                s.snapshots * group * s.n_sites)
     dt = stable_dt(pot, s.n_sites) if s.dt is None else s.dt
+    _check_steps("[simulate] horizon and dt", s.horizon / dt)
     config = SimConfig(s.n_sites, s.horizon, dt, seed=seed)
     profile = s.profile(pot)
     control = None
@@ -250,21 +283,30 @@ def cmd_simulate(pot, cfg, out: Path):
             lambda t, th: s.control(th), s.n_sites, s.horizon, n_pieces=1)
     sample_times = np.linspace(0.0, s.horizon, s.snapshots)
 
-    streams = np.random.SeedSequence(seed).spawn(s.replicas)
-    for r, stream in enumerate(streams):
-        rng = np.random.default_rng(stream)
-        initial = sample_initial_from_profile(profile, s.n_sites, rng)
-        record = simulate_trajectory(pot, config, initial, control,
-                                     sample_times, rng=rng)
-        with _create(out, f"trajectory_{r:03d}.csv") as fh:
-            record.to_csv(fh)
+    # replica r draws only from the r-th child stream, so its file is what
+    # a run of it alone writes; spawn counts on from group to group
+    seeds = np.random.SeedSequence(seed)
+    for first in range(0, s.replicas, group):
+        rngs = [np.random.default_rng(child) for child in
+                seeds.spawn(min(group, s.replicas - first))]
+        batch = simulate_replicas(pot, config, profile, len(rngs), control,
+                                  sample_times, record_states=True, rng=rngs)
+        for r in range(len(rngs)):
+            with _create(out, f"trajectory_{first + r:03d}.csv") as fh:
+                batch.trajectory(r).to_csv(fh)
     print(f"wrote {s.replicas} trajectories to {out}")
 
 
-def _solve_field(pot, c: SimpleNamespace):
+def _solve_field(pot, cfg, section):
+    c = cfg[section]
+    _check_size(f"[{section}] j_cells", 2 * c.j_cells)
     n_steps = c.n_steps
     if n_steps is None:
-        n_steps = cfl_time_steps(pot, c.m0, c.j_cells, c.horizon)
+        n_steps = _steps_or_inf(cfl_time_steps, pot, c.m0, c.j_cells,
+                                c.horizon)
+    _check_steps(f"[{section}] horizon and n_steps", n_steps)
+    _check_size(f"[{section}] j_cells, horizon and n_steps",
+                (n_steps + 1) * c.j_cells)
     u = None
     if c.control is not None:
         u = ControlGrid.from_function(lambda t, th: c.control(th), n_steps,
@@ -275,7 +317,7 @@ def _solve_field(pot, c: SimpleNamespace):
 
 
 def cmd_pde(pot, cfg, out: Path):
-    field = _solve_field(pot, cfg["pde"])
+    field = _solve_field(pot, cfg, "pde")
     with _create(out, "field.csv") as fh:
         field.to_csv(fh)
     print(f"wrote field.csv ({field.n_steps} steps, {field.j_cells} cells) "
@@ -283,7 +325,7 @@ def cmd_pde(pot, cfg, out: Path):
 
 
 def cmd_rate(pot, cfg, out: Path):
-    field = _solve_field(pot, cfg["rate"])
+    field = _solve_field(pot, cfg, "rate")
     decomposition = rate(pot, field)
     with _create(out, "rate.csv") as fh:
         fh.write(RateDecomposition.CSV_HEADER + "\n")
@@ -301,6 +343,14 @@ def cmd_ldp(pot, cfg, out: Path):
         test_function=lambda th: np.sin(2.0 * np.pi * np.asarray(th)),
         transform=lambda v, t=c.target: (np.asarray(v) - t) ** 2,
         bound=c.bound)
+    for n in c.n_list:
+        _check_size("[ldp] n_list and replicas", c.replicas * n)
+        _check_steps("[ldp] horizon and n_list",
+                     c.horizon / stable_dt(pot, n))
+    for v in c.family:
+        steps = _steps_or_inf(steering_steps, pot, v, c.horizon)
+        _check_steps("[ldp] horizon", steps)
+        _check_size("[ldp] horizon", STEERING_CELLS * (steps + 1))
     reports: list[ExperimentReport] = []
     rows = ldp_trend_study(pot, functional, c.n_list, c.horizon, c.replicas,
                            c.family, seed=run.seed, workers=run.workers,

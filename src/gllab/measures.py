@@ -21,7 +21,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .errors import TimeGridMismatch
-from .particles import LatticeState, TrajectoryRecord
+from .particles import LatticeState, TrajectoryRecord, write_csv
 
 
 @dataclass(frozen=True)
@@ -175,10 +175,7 @@ def measure_path_to_csv(path: MeasurePath, fh):
     n = max(s.n_atoms for s in path.snapshots)
     header = ["t"] + [f"theta_{i}" for i in range(n)] \
         + [f"w_{i}" for i in range(n)]
-    fh.write(",".join(header) + "\n")
-    for t, snap in zip(path.sample_times, path.snapshots):
-        locs = list(snap.locations) + [float("nan")] * (n - snap.n_atoms)
-        wts = list(snap.weights) + [float("nan")] * (n - snap.n_atoms)
-        row = [f"{t:.17g}"] + [f"{v:.17g}" for v in locs] \
-            + [f"{v:.17g}" for v in wts]
-        fh.write(",".join(row) + "\n")
+    pad = [np.nan] * n
+    write_csv(fh, header, (np.concatenate((
+        [t], s.locations, pad[s.n_atoms:], s.weights, pad[s.n_atoms:]))
+        for t, s in zip(path.sample_times, path.snapshots)))

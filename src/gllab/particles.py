@@ -13,10 +13,10 @@ together with the quadratic control cost.  Under the controlled law the
 weight is an exact exponential martingale even at finite dt, because the
 per-step increment is a Gaussian shift identity.
 
-One engine, ``_run``, steps every run in place.  It takes its normals
-from the caller's generator in blocks of several steps, drawn ahead on one
-helper thread per run, and its outputs and the generator's final state are
-bit-identical to drawing one (M, N) block per step.
+One engine, ``_run``, steps every run in place.  It draws its normals
+ahead in blocks of steps on one helper thread, from one generator for all
+rows or one per row, and its outputs and the generators' final states are
+bit-identical to drawing one block per step: a row alone gives the same.
 """
 
 from __future__ import annotations
@@ -163,6 +163,15 @@ class SimpleControl:
         return cls(bp, vals, float(np.max(np.abs(vals))) + 1e-12)
 
 
+def write_csv(fh, header: Sequence[str], rows):
+    """Write a header line, then each 1-d float row as %.17g values (read
+    back as the same doubles), turning one row at a time into floats."""
+    fh.write(",".join(header) + "\n")
+    fmt = "%.17g" + ",%.17g" * (len(header) - 1) + "\n"
+    for row in rows:
+        fh.write(fmt % tuple(row.tolist()))
+
+
 # -- the engine ---------------------------------------------------------------
 
 
@@ -184,6 +193,13 @@ class ReplicaBatch:
     states: np.ndarray | None = None  # (S, M, N) if recorded
     wall_time: float = 0.0
 
+    def trajectory(self, r: int) -> "TrajectoryRecord":
+        """Replica r as a trajectory record; needs recorded states."""
+        return TrajectoryRecord(
+            self.sample_times, self.states[:, r], float(self.log_weights[r]),
+            float(self.costs[r]), self.log_weight_path[:, r],
+            self.cost_path[:, r])
+
 
 # Bytes in one block of drawn-ahead normals; _run keeps two.
 NOISE_BLOCK_BYTES = 1 << 20
@@ -195,14 +211,16 @@ def _run(pot: Potential, config: SimConfig, charges: np.ndarray,
          record_states: bool = False) -> ReplicaBatch:
     """March an (M, N) charge array over the horizon: the one stepping loop.
 
-    The noise comes from ``rng`` in (K, M, N) blocks of K steps, the most
-    that fit in NOISE_BLOCK_BYTES (at least one); the last block is trimmed.
-    One helper thread draws the next block into a second buffer while this
-    thread steps through the current one, and it is joined before ``_run``
-    returns or raises.  The step runs in place on a copy of the charges,
-    in the operation order of one (M, N) draw per step, so every output
-    and the generator's final state are bit-identical to that serial
-    stream.  The state is checked for finiteness after every step.
+    The noise comes in (K, M, N) blocks of K steps, the most that fit in
+    NOISE_BLOCK_BYTES (at least one); the last block is trimmed.  ``rng``
+    is one Generator, which fills each block in C order, or a sequence of
+    M generators, the r-th filling row r.  One helper thread draws the
+    next block into a second buffer while this thread steps through the
+    current one, and it is joined before ``_run`` returns or raises.  The
+    step runs in place on a copy of the charges, in the operation order of
+    one (M, N) draw per step, so every output and each generator's final
+    state are bit-identical to that serial stream.  The state is checked
+    for finiteness after every step.
 
     Sample times snap to the nearest step-grid point; at each one the
     pairings with ``pairing_functions`` (at site positions i/N), the
@@ -240,7 +258,17 @@ def _run(pot: Potential, config: SimConfig, charges: np.ndarray,
     dz, db, dlogw = np.empty((m, n)), np.empty((m, n)), np.empty(m)
     finite = np.empty((m, n), dtype=bool)
     k_block = max(1, min(n_steps, NOISE_BLOCK_BYTES // (8 * m * n)))
-    blocks = (np.empty((k_block, m, n)), np.empty((k_block, m, n)))
+    fill = getattr(rng, "standard_normal", None)
+    # with a generator per row, a block is a (K, M, N) view of an (M, K, N)
+    # array, so that each row's slab is contiguous, as standard_normal needs
+    blocks = [np.empty((k_block, m, n)) if fill is not None
+              else np.empty((m, k_block, n)).transpose(1, 0, 2)
+              for _ in range(2)]
+    if fill is None:
+        def fill(out):
+            for r, gen in enumerate(rng):
+                gen.standard_normal(out=out[:, r])
+            return out
     outs = (blocks[c % 2][:min(k_block, n_steps - start)]
             for c, start in enumerate(range(0, n_steps, k_block)))
     # the control's next breakpoint: its piece terms are set once per piece
@@ -258,12 +286,12 @@ def _run(pot: Potential, config: SimConfig, charges: np.ndarray,
     record(0)
     k = 0
     with ThreadPoolExecutor(max_workers=1) as helper:
-        pending = helper.submit(rng.standard_normal, out=next(outs))
+        pending = helper.submit(fill, out=next(outs))
         while pending is not None:
             block = pending.result()
             out = next(outs, None)
             pending = (None if out is None
-                       else helper.submit(rng.standard_normal, out=out))
+                       else helper.submit(fill, out=out))
             for noise in block:
                 if k * dt >= switch:
                     psi = control.values_at(k * dt)
@@ -332,15 +360,11 @@ class TrajectoryRecord:
         return LatticeState(self.states[index], float(self.sample_times[index]))
 
     def to_csv(self, fh):
-        n = self.states.shape[1]
-        header = ["t"] + [f"x_{i}" for i in range(n)] \
+        header = ["t"] + [f"x_{i}" for i in range(self.states.shape[1])] \
             + ["cumulative_log_weight", "cumulative_cost"]
-        fh.write(",".join(header) + "\n")
-        for k, t in enumerate(self.sample_times):
-            row = [f"{t:.17g}"] + [f"{v:.17g}" for v in self.states[k]] \
-                + [f"{self.log_weight_path[k]:.17g}",
-                   f"{self.cost_path[k]:.17g}"]
-            fh.write(",".join(row) + "\n")
+        write_csv(fh, header, np.column_stack((
+            self.sample_times, self.states, self.log_weight_path,
+            self.cost_path)))
 
 
 def simulate_trajectory(pot: Potential, config: SimConfig,
@@ -360,16 +384,8 @@ def simulate_trajectory(pot: Potential, config: SimConfig,
         initial = LatticeState(np.asarray(initial, dtype=float))
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    run = _run(pot, config, initial.charges[None, :], control, sample_times,
-               rng, record_states=True)
-    return TrajectoryRecord(
-        sample_times=run.sample_times,
-        states=run.states[:, 0],
-        girsanov_log_weight=float(run.log_weights[0]),
-        control_cost=float(run.costs[0]),
-        log_weight_path=run.log_weight_path[:, 0],
-        cost_path=run.cost_path[:, 0],
-    )
+    return _run(pot, config, initial.charges[None, :], control,
+                sample_times, rng, record_states=True).trajectory(0)
 
 
 # -- initial profiles ---------------------------------------------------------
@@ -512,19 +528,27 @@ def simulate_replicas(pot: Potential, config: SimConfig,
                       sample_times: Sequence[float] | None = None,
                       pairing_functions: Sequence[Callable] = (),
                       record_states: bool = False,
-                      rng: np.random.Generator | None = None) -> ReplicaBatch:
+                      rng: np.random.Generator | Sequence | None = None
+                      ) -> ReplicaBatch:
     """Run n_replicas trajectories in one vectorized sweep of the engine.
 
-    All replicas share a single stream (the initial matrix, then one
-    (M, N) normal block per step), which keeps large ensembles fast; the
-    result is deterministic for a fixed seed.  Pairings against the given
-    test functions are accumulated at the snapshot times so callers rarely
-    need full states.  ``wall_time`` includes the initial draw.
+    All replicas share one Generator's stream (the initial matrix, then
+    one (M, N) block per step), or replica r draws from ``rng[r]`` alone,
+    bit for bit as ``simulate_trajectory`` on it.  Pairings against the
+    given test functions are accumulated at the snapshot times so callers
+    rarely need full states.  ``wall_time`` includes the initial draw.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
     start = _time.perf_counter()
-    charges = sample_initial_matrix(profile, config.n_sites, n_replicas, rng)
+    if hasattr(rng, "standard_normal"):
+        charges = sample_initial_matrix(profile, config.n_sites, n_replicas,
+                                        rng)
+    elif len(rng) == n_replicas:
+        charges = np.concatenate([sample_initial_matrix(
+            profile, config.n_sites, 1, gen) for gen in rng])
+    else:
+        raise ValueError("need one generator per replica")
     batch = _run(pot, config, charges, control, sample_times, rng,
                  pairing_functions, record_states)
     return replace(batch, wall_time=_time.perf_counter() - start)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import CFLViolation, NonFiniteField
 from .potential import EnvelopeTable, Potential
-from .particles import SimpleControl
+from .particles import SimpleControl, write_csv
 
 CFL_SAFETY = 0.5
 
@@ -153,12 +153,9 @@ class DensityField:
         return self.values[min(max(k, 0), self.n_steps)]
 
     def to_csv(self, fh):
-        j = self.j_cells
-        header = ["t"] + [f"m_{i}" for i in range(j)]
-        fh.write(",".join(header) + "\n")
-        for k, t in enumerate(self.times):
-            row = [f"{t:.17g}"] + [f"{v:.17g}" for v in self.values[k]]
-            fh.write(",".join(row) + "\n")
+        write_csv(fh, ["t"] + [f"m_{i}" for i in range(self.j_cells)],
+                  (np.concatenate(([t], v))
+                   for t, v in zip(self.times, self.values)))
 
 
 def _resolve_grid(pot: Potential, m0, j_cells):

@@ -233,17 +233,26 @@ class SteeringPlan:
     rate_total: float
 
 
+STEERING_CELLS = 64
+
+
+def steering_steps(pot: Potential, target: float, horizon: float) -> int:
+    """Time steps of the steering field toward ``target``: the CFL count on
+    STEERING_CELLS cells at the field's largest magnitude."""
+    return cfl_time_steps(pot, lambda th: 2.0 * abs(target)
+                          * np.ones_like(th), STEERING_CELLS, horizon)
+
+
 def steering_plan(pot: Potential, target: float, horizon: float,
                   test_function: Callable) -> SteeringPlan:
-    """Build the steering field toward ``target`` on 64 cells.
+    """Build the steering field toward ``target`` on STEERING_CELLS cells.
 
     The control is the path's minimal control; the profile is the tilt
     matching the path's initial slice.
     """
-    j_cells = 64
-    n_steps = cfl_time_steps(pot, lambda th: 2.0 * abs(target)
-                             * np.ones_like(th), j_cells, horizon)
-    field = sine_target_field(target, horizon, j_cells, n_steps)
+    j_cells = STEERING_CELLS
+    field = sine_target_field(target, horizon, j_cells,
+                              steering_steps(pot, target, horizon))
     decomp = rate(pot, field)
     b0 = 2.0 * target * math.exp(-2.0 * math.pi ** 2 * horizon)
     # The profile's Legendre solve covers the initial slice's range, so it

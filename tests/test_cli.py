@@ -6,12 +6,16 @@ import io
 import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from gllab import (SimConfig, SimpleControl, make_potential, particles,
+                   sample_initial_from_profile, simulate_trajectory,
+                   stable_dt, tilted_sine_profile)
 from gllab.cli import DEFAULTS, load_config, main
 from gllab.errors import ConfigInvalid
 from gllab.rare_events import ExperimentReport
@@ -78,6 +82,63 @@ def test_manifest_rerun_is_byte_identical(tmp_path):
                  "--output-dir", str(out2)]) == 0
     for name in ("trajectory_000.csv",):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_manifest_rerun_of_a_batch_is_byte_identical(tmp_path):
+    ini = _write(tmp_path, "sim.ini",
+                 "[run]\nseed = 22\n\n[simulate]\nn_sites = 6\n"
+                 "horizon = 0.01\nreplicas = 3\ncontrol = sine(0.7)\n")
+    out1, out2 = tmp_path / "o1", tmp_path / "o2"
+    assert main(["simulate", "--config", ini,
+                 "--output-dir", str(out1)]) == 0
+    assert main(["simulate", "--config", str(out1 / "manifest.ini"),
+                 "--output-dir", str(out2)]) == 0
+    names = [f"trajectory_{r:03d}.csv" for r in range(3)]
+    assert sorted(p.name for p in out1.glob("*.csv")) == names
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(1, 12), replicas=st.integers(1, 7),
+       seed=st.integers(0, 2 ** 32 - 1),
+       control=st.sampled_from(["none", "constant(-0.6)", "sine(1.1)"]),
+       group=st.integers(1, 3))
+def test_simulate_batches_write_what_serial_runs_write(n, replicas, seed,
+                                                       control, group):
+    pot = make_potential("gaussian")
+    horizon, snapshots = 0.002, 3
+    text = (f"[run]\nseed = {seed}\n[simulate]\nn_sites = {n}\n"
+            f"horizon = {horizon}\nsnapshots = {snapshots}\n"
+            f"replicas = {replicas}\ncontrol = {control}\n"
+            "profile = tilted_sine(0.5)\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "c.ini").write_text(text)
+        # groups of `group` replicas, so most runs cross a group boundary
+        with mock.patch.object(particles, "NOISE_BLOCK_BYTES", 8 * n * group):
+            assert main(["simulate", "--config", str(tmp / "c.ini"),
+                         "--output-dir", str(tmp / "o")]) == 0
+        # the reference: each replica alone on its own child stream
+        dt = stable_dt(pot, n)
+        config = SimConfig(n, horizon, dt, seed=seed)
+        profile = tilted_sine_profile(pot, 0.5)
+        field = {"none": None,
+                 "constant(-0.6)": lambda th: np.full_like(th, -0.6),
+                 "sine(1.1)": lambda th: 1.1 * np.sin(2.0 * np.pi * th),
+                 }[control]
+        ctrl = None if field is None else SimpleControl.from_function(
+            lambda t, th: field(th), n, horizon, n_pieces=1)
+        times = np.linspace(0.0, horizon, snapshots)
+        for r, child in enumerate(
+                np.random.SeedSequence(seed).spawn(replicas)):
+            rng = np.random.default_rng(child)
+            initial = sample_initial_from_profile(profile, n, rng)
+            buf = io.StringIO()
+            simulate_trajectory(pot, config, initial, ctrl, times,
+                                rng=rng).to_csv(buf)
+            assert (tmp / "o" / f"trajectory_{r:03d}.csv").read_text() \
+                == buf.getvalue()
 
 
 def test_manifest_records_resolved_config(tmp_path):
@@ -226,6 +287,25 @@ def test_bad_values_exit_with_one_line(tmp_path, capsys, subcommand, text,
     assert not (tmp_path / "x").exists()     # no output directory left
 
 
+@pytest.mark.parametrize("subcommand, text, key", [
+    ("simulate", "[simulate]\nn_sites = 4\nhorizon = 1e300\n", "horizon"),
+    ("simulate", f"[simulate]\nsnapshots = {2 ** 62}\n", "snapshots"),
+    ("pde", "[pde]\nj_cells = 8\nhorizon = 1e300\n", "horizon"),
+    ("pde", f"[pde]\nj_cells = {2 ** 62}\n", "j_cells"),
+    ("rate", f"[rate]\nn_steps = {2 ** 53}\n", "n_steps"),
+    ("ldp", "[ldp]\nhorizon = 1e300\n", "horizon"),
+])
+def test_impossible_plans_exit_2_naming_the_key(tmp_path, capsys,
+                                                subcommand, text, key):
+    ini = _write(tmp_path, "huge.ini", text)
+    assert main([subcommand, "--config", ini,
+                 "--output-dir", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert key in err[0]
+    assert not (tmp_path / "x").exists()
+
+
 def test_unreachable_density_names_the_quadrature_window(tmp_path, capsys):
     # density 13 lies past the +-12 window that bounds every tilted mean
     ini = _write(tmp_path, "far.ini", "[pde]\nm0 = constant(13)\n")
@@ -251,7 +331,7 @@ _VALUES = ["1", "2", "4", "0.5", "0.01", "0", "-1", "-0.5", "nan", "inf",
            "-inf", "1e400", "abc", "", "auto", "1,2", "0.1,nan", "none",
            "quartic", "equilibrium", "sine(0.5)", "constant(-0.5)",
            "tilted_sine:0.3", "cosine(1e400)", "sine(nan)", "sine(1",
-           "sine:1)", "constant"]
+           "sine:1)", "constant", "1e300"]
 
 
 def _csv_rows(path):
@@ -266,6 +346,20 @@ def _csv_rows(path):
           suppress_health_check=[HealthCheck.too_slow])
 @given(subcommand=st.sampled_from(["simulate", "pde", "rate", "ldp"]),
        key=st.sampled_from(_KEYS), value=st.sampled_from(_VALUES))
+# impossible plans: 2**53 or more steps, or arrays past physical memory
+@example("simulate", ("simulate", "horizon"), "1e300")
+@example("simulate", ("simulate", "horizon"), "1.7e308")
+@example("simulate", ("simulate", "n_sites"), str(2 ** 62))
+@example("simulate", ("simulate", "snapshots"), str(2 ** 62))
+@example("pde", ("pde", "horizon"), "1e300")
+@example("pde", ("pde", "horizon"), "1.7e308")
+@example("pde", ("pde", "n_steps"), str(2 ** 53))
+@example("pde", ("pde", "j_cells"), str(2 ** 62))
+@example("rate", ("rate", "horizon"), "1e300")
+@example("ldp", ("ldp", "horizon"), "1e300")
+@example("ldp", ("ldp", "horizon"), "1.7e308")
+@example("ldp", ("ldp", "n_list"), str(2 ** 40))
+@example("ldp", ("ldp", "replicas"), str(2 ** 62))
 def test_main_keeps_its_exit_code_contract(subcommand, key, value):
     cfg = {section: dict(kv) for section, kv in _TINY.items()}
     cfg.setdefault(key[0], {})[key[1]] = value

@@ -10,12 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gllab import (CFLViolation, LatticeState, NonFiniteState, SimConfig,
-                   SimpleControl, deterministic_profile,
+from gllab import (AtomicSignedMeasure, CFLViolation, DensityField,
+                   LatticeState, MeasurePath, NonFiniteState, SimConfig,
+                   SimpleControl, TrajectoryRecord, deterministic_profile,
                    entropy_cost_of_profile, equilibrium_profile,
-                   sample_initial_from_profile, sample_initial_matrix,
-                   simulate_replicas, simulate_trajectory, stable_dt,
-                   tilted_constant_profile, tilted_sine_profile)
+                   measure_path_to_csv, sample_initial_from_profile,
+                   sample_initial_matrix, simulate_replicas,
+                   simulate_trajectory, stable_dt, tilted_constant_profile,
+                   tilted_sine_profile)
 from gllab import particles
 from gllab.particles import _cell_positions
 
@@ -337,3 +339,105 @@ def test_run_matches_serial_reference(quartic, m, n, steps, block_steps,
     assert np.array_equal(batch.log_weight_path, np.stack(logws)[idx])
     assert np.array_equal(batch.cost_path, np.stack(costs)[idx])
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 24), replicas=st.integers(1, 6),
+       steps=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1),
+       spec=_CONTROLS, block_steps=st.integers(0, 9))
+@example(n=5, replicas=4, steps=12, seed=3, spec=("sine", 1.0, 3),
+         block_steps=0)
+def test_per_row_streams_match_serial_trajectories(gaussian, n, replicas,
+                                                   steps, seed, spec,
+                                                   block_steps):
+    dt = stable_dt(gaussian, n)
+    horizon = steps * dt
+    cfg = SimConfig(n, horizon, dt)
+    ctrl = _control(spec, n, horizon)
+    profile = equilibrium_profile(gaussian)
+    times = np.arange(steps + 1) * dt
+    children = np.random.SeedSequence(seed).spawn(replicas)
+    rngs = [np.random.default_rng(c) for c in children]
+    # block_steps = 0: one step's (M, N) array exceeds the block, so every
+    # block holds a single step
+    block_bytes = max(1, 8 * replicas * n * (block_steps + 1) - 1)
+    with mock.patch.object(particles, "NOISE_BLOCK_BYTES", block_bytes):
+        batch = simulate_replicas(gaussian, cfg, profile, replicas, ctrl,
+                                  times, record_states=True, rng=rngs)
+    for r, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        initial = sample_initial_from_profile(profile, n, rng)
+        rec = simulate_trajectory(gaussian, cfg, initial, ctrl, times,
+                                  rng=rng)
+        one = batch.trajectory(r)
+        assert np.array_equal(one.states, rec.states)
+        assert np.array_equal(one.log_weight_path, rec.log_weight_path)
+        assert np.array_equal(one.cost_path, rec.cost_path)
+        assert one.girsanov_log_weight == rec.girsanov_log_weight
+        assert one.control_cost == rec.control_cost
+        assert rngs[r].bit_generator.state == rng.bit_generator.state
+
+
+def test_per_row_streams_need_one_generator_per_row(gaussian):
+    cfg = SimConfig(4, 1e-3, 1e-4)
+    rngs = [np.random.default_rng(s) for s in range(2)]
+    with pytest.raises(ValueError, match="one generator per"):
+        simulate_replicas(gaussian, cfg, equilibrium_profile(gaussian), 3,
+                          rng=rngs)
+
+
+def _old_csv_row(values):
+    """The per-value join the shared writer replaced."""
+    return ",".join(f"{v:.17g}" for v in values) + "\n"
+
+
+_EDGE_ROWS = np.array([
+    [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308],
+    [np.nan, np.inf, -np.inf, 3.0, -7.0, 2.0 ** 53],
+    [0.1, 1.0 / 3.0, 2.2250738585072014e-308, 1e-300, 123456789.0, 1e16],
+])
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.lists(st.floats(), min_size=3, max_size=3),
+                     min_size=1, max_size=5))
+def test_write_csv_matches_the_per_value_join(rows):
+    rows = np.array(rows, dtype=float)
+    for table in (rows, _EDGE_ROWS):
+        buf = io.StringIO()
+        particles.write_csv(buf, [f"c{i}" for i in range(table.shape[1])],
+                            table)
+        assert buf.getvalue() == ",".join(
+            f"c{i}" for i in range(table.shape[1])) + "\n" + "".join(
+            _old_csv_row(row) for row in table)
+
+
+def test_csv_writers_match_the_per_value_join():
+    t = np.array([0.0, 0.5, 1.0])
+    states = np.concatenate([_EDGE_ROWS[:, :4], [[4.0, -0.0, 1e-320, 7.0]]])
+    rec = TrajectoryRecord(t, states[:3], 0.0, 0.0, _EDGE_ROWS[:, 4],
+                           _EDGE_ROWS[:, 5])
+    field = DensityField(_EDGE_ROWS, 2.0)
+    # snapshots of 3, 1 and 2 atoms: the shorter ones are padded with nan
+    path = MeasurePath(t, (
+        AtomicSignedMeasure(np.array([0.0, 0.25, 0.5]),
+                            np.array([-0.0, 5e-324, 1e308])),
+        AtomicSignedMeasure(np.array([0.125]), np.array([2.0])),
+        AtomicSignedMeasure(np.array([0.5, 0.75]), np.array([1 / 3, -1.0]))))
+    expected = {
+        "trajectory": "".join(_old_csv_row([t[k], *rec.states[k],
+                                            rec.log_weight_path[k],
+                                            rec.cost_path[k]])
+                              for k in range(3)),
+        "field": "".join(_old_csv_row([tk, *row]) for tk, row in
+                         zip(field.times, field.values)),
+        "path": "".join(_old_csv_row(
+            [tk, *s.locations, *[np.nan] * (3 - s.n_atoms), *s.weights,
+             *[np.nan] * (3 - s.n_atoms)])
+            for tk, s in zip(t, path.snapshots)),
+    }
+    for name, write in (("trajectory", rec.to_csv), ("field", field.to_csv),
+                        ("path", lambda fh: measure_path_to_csv(path, fh))):
+        buf = io.StringIO()
+        write(buf)
+        assert buf.getvalue().split("\n", 1)[1] == expected[name], name
