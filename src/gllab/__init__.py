@@ -23,9 +23,9 @@ from .particles import (LatticeState, ProfileMeasure, ReplicaBatch, SimConfig,
 from .pde import (ControlGrid, DensityField, cfl_time_steps, contraction_gap,
                   control_l2_distance, minimal_control_embedding,
                   solve_controlled_pde, weak_form_residual)
-from .potential import (CumulantGenerator, EnvelopeTable, Potential,
-                        QuadratureSpec, TiltedFamilySampler,
-                        gaussian_potential, make_potential, quartic_potential)
+from .potential import (EnvelopeTable, Potential, QuadratureSpec,
+                        TiltedFamilySampler, gaussian_potential,
+                        make_potential, quartic_potential)
 from .rare_events import (ExperimentReport, Functional, SteeringPlan,
                           TrendRow, importance_sampled_expectation,
                           laplace_functional_mc, ldp_trend_study,

@@ -22,9 +22,8 @@ bit-identical to drawing one block per step: a row alone gives the same.
 from __future__ import annotations
 
 import math
-import time as _time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -61,16 +60,14 @@ class SimConfig:
     """Time-stepping parameters for one particle run.
 
     The drift carries an N^2 factor, so explicit stepping needs
-    dt <= c / N^2; ``stability_constant`` is that c.  When left as None it
-    defaults to DEFAULT_STABILITY_SAFETY / max|phi''|, evaluated over the
-    potential's probe range at validation time.
+    dt <= c / N^2 with c = DEFAULT_STABILITY_SAFETY / max|phi''|, evaluated
+    over the potential's probe range at validation time (``stable_dt``).
     """
 
     n_sites: int
     horizon: float
     dt: float
     seed: int = 0
-    stability_constant: float | None = None
 
     def __post_init__(self):
         if self.n_sites < 1:
@@ -79,14 +76,12 @@ class SimConfig:
             raise ValueError("horizon and dt must be positive")
 
     def validate_stability(self, pot: Potential):
-        c = self.stability_constant
-        if c is None:
-            c = DEFAULT_STABILITY_SAFETY / pot.max_phi_double_prime()
-        limit = c / self.n_sites ** 2
+        limit = stable_dt(pot, self.n_sites)
         if self.dt > limit * (1 + 1e-12):
             raise CFLViolation(
                 f"dt={self.dt:g} exceeds stability limit {limit:g} "
-                f"(= c/N^2 with c={c:g}, N={self.n_sites})")
+                f"(= {DEFAULT_STABILITY_SAFETY:g}/max|phi''|/N^2 with "
+                f"N={self.n_sites})")
 
     def n_steps(self) -> int:
         return max(1, int(round(self.horizon / self.dt)))
@@ -191,7 +186,6 @@ class ReplicaBatch:
     log_weight_path: np.ndarray       # (S, M)
     cost_path: np.ndarray             # (S, M)
     states: np.ndarray | None = None  # (S, M, N) if recorded
-    wall_time: float = 0.0
 
     def trajectory(self, r: int) -> "TrajectoryRecord":
         """Replica r as a trajectory record; needs recorded states."""
@@ -536,11 +530,10 @@ def simulate_replicas(pot: Potential, config: SimConfig,
     one (M, N) block per step), or replica r draws from ``rng[r]`` alone,
     bit for bit as ``simulate_trajectory`` on it.  Pairings against the
     given test functions are accumulated at the snapshot times so callers
-    rarely need full states.  ``wall_time`` includes the initial draw.
+    rarely need full states.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    start = _time.perf_counter()
     if hasattr(rng, "standard_normal"):
         charges = sample_initial_matrix(profile, config.n_sites, n_replicas,
                                         rng)
@@ -549,6 +542,5 @@ def simulate_replicas(pot: Potential, config: SimConfig,
             profile, config.n_sites, 1, gen) for gen in rng])
     else:
         raise ValueError("need one generator per replica")
-    batch = _run(pot, config, charges, control, sample_times, rng,
-                 pairing_functions, record_states)
-    return replace(batch, wall_time=_time.perf_counter() - start)
+    return _run(pot, config, charges, control, sample_times, rng,
+                pairing_functions, record_states)

@@ -159,23 +159,24 @@ class DensityField:
 
 
 def _resolve_grid(pot: Potential, m0, j_cells):
+    """Initial density on the grid, its envelope table, and the largest
+    stable step CFL_SAFETY * dtheta^2 / max H'."""
     m0_arr = np.asarray(m0(np.arange(j_cells) / j_cells)
                         if callable(m0) else m0, dtype=float)
     if m0_arr.ndim != 1:
         raise ValueError("initial density must be one-dimensional")
-    lo = float(np.min(m0_arr))
-    hi = float(np.max(m0_arr))
-    pad = max(hi - lo, 1.0)
-    table = EnvelopeTable.padded(pot, lo, hi, pad)
-    return m0_arr, table
+    table = EnvelopeTable.padded(pot, m0_arr)
+    dtheta = 1.0 / m0_arr.size
+    return m0_arr, table, CFL_SAFETY * dtheta ** 2 / table.max_curvature()
+
+
+def _cfl_steps(horizon: float, dt_max: float) -> int:
+    return max(1, int(math.ceil(horizon / dt_max)))
 
 
 def cfl_time_steps(pot: Potential, m0, j_cells: int, horizon: float) -> int:
     """Smallest step count satisfying dt <= CFL_SAFETY * dtheta^2 / max H'."""
-    m0_arr, table = _resolve_grid(pot, m0, j_cells)
-    dtheta = 1.0 / m0_arr.size
-    dt_max = CFL_SAFETY * dtheta ** 2 / table.max_curvature()
-    return max(1, int(math.ceil(horizon / dt_max)))
+    return _cfl_steps(horizon, _resolve_grid(pot, m0, j_cells)[2])
 
 
 def solve_controlled_pde(pot: Potential, m0, u: ControlGrid | None = None,
@@ -196,13 +197,12 @@ def solve_controlled_pde(pot: Potential, m0, u: ControlGrid | None = None,
         raise ValueError("horizon must be positive")
     if callable(m0) and j_cells is None:
         raise ValueError("j_cells required with a callable initial density")
-    m, table = _resolve_grid(pot, m0, j_cells)
+    m, table, dt_max = _resolve_grid(pot, m0, j_cells)
     j_cells = m.size
 
     dtheta = 1.0 / j_cells
-    dt_max = CFL_SAFETY * dtheta ** 2 / table.max_curvature()
     if n_steps is None:
-        n_steps = max(1, int(math.ceil(horizon / dt_max)))
+        n_steps = _cfl_steps(horizon, dt_max)
     dt = horizon / n_steps
     if dt > dt_max * (1 + 1e-9):
         raise CFLViolation(
@@ -263,16 +263,14 @@ def weak_form_residual(pot: Potential, field: DensityField,
     jp = np.fft.irfft(jhat * freq, n=j)
     jpp = np.fft.irfft(jhat * freq ** 2, n=j)
 
-    table = EnvelopeTable.padded(pot, float(np.min(field.values)),
-                                 float(np.max(field.values)), 1.0)
     boundary = (np.sum(field.values[k_end] * jv)
                 - np.sum(field.values[0] * jv)) * dtheta
-    diffusive = 0.0
-    advective = 0.0
-    for k in range(k_end):
-        diffusive += np.sum(jpp * table(field.values[k])) * dtheta * dt
+    diffusive = advective = 0.0
+    if k_end:
+        hm = EnvelopeTable.padded(pot, field.values)(field.values[:k_end])
+        diffusive = np.sum(hm * jpp) * dtheta * dt
         if u is not None:
-            advective += np.sum(jp * u.values[k]) * dtheta * dt
+            advective = np.sum(u.values[:k_end] * jp) * dtheta * dt
     return float(abs(boundary - 0.5 * diffusive - advective))
 
 

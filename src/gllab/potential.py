@@ -21,7 +21,6 @@ import math
 import threading
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import logsumexp
@@ -65,12 +64,21 @@ def _read_only(a):
     return a
 
 
-def _unachievable(what: str, quadrature) -> RootNotBracketed:
+def _trapezoid(q: "QuadratureSpec", node_count: int):
+    """Nodes and log weights of the trapezoid rule on q's window."""
+    y = np.linspace(-q.domain_halfwidth, q.domain_halfwidth, node_count)
+    logw = np.full(node_count, math.log(y[1] - y[0]))
+    logw[0] -= math.log(2.0)
+    logw[-1] -= math.log(2.0)
+    return y, logw
+
+
+def _unachievable(bad, quadrature) -> RootNotBracketed:
     """The tilt cap and the quadrature window both bound a tilted mean."""
     w = quadrature.domain_halfwidth
     return RootNotBracketed(
-        f"{what} not achievable with |tilt| <= {BRACKET_CAP:g} on the "
-        f"quadrature window [-{w:g}, {w:g}]; widen "
+        f"mean value(s) {bad[:4]} not achievable with |tilt| <= "
+        f"{BRACKET_CAP:g} on the quadrature window [-{w:g}, {w:g}]; widen "
         f"QuadratureSpec.domain_halfwidth for means near or past it")
 
 
@@ -86,19 +94,6 @@ class QuadratureSpec:
             raise ValueError("node_count must be at least 16")
         if not (self.domain_halfwidth > 0):
             raise ValueError("domain_halfwidth must be positive")
-
-
-@dataclass(frozen=True)
-class CumulantGenerator:
-    """Log-MGF of the reference density and its first two derivatives.
-
-    ``rho_prime`` is the mean of the tilted density, ``rho_double_prime``
-    its variance; both are quadrature-backed vectorized callables.
-    """
-
-    rho: Callable
-    rho_prime: Callable
-    rho_double_prime: Callable
 
 
 class Potential:
@@ -132,13 +127,8 @@ class Potential:
         q = self.quadrature
         self.name = name
 
-        y = np.linspace(-q.domain_halfwidth, q.domain_halfwidth, q.node_count)
-        self._y = y
-        self._dy = y[1] - y[0]
-        logw = np.full(q.node_count, math.log(self._dy))
-        logw[0] -= math.log(2.0)
-        logw[-1] -= math.log(2.0)
-        self._logw = logw
+        y, logw = _trapezoid(q, q.node_count)
+        self._y, self._logw, self._dy = y, logw, y[1] - y[0]
 
         raw = np.asarray(phi(y), dtype=float)
         if raw.shape != y.shape or not np.all(np.isfinite(raw)):
@@ -194,13 +184,8 @@ class Potential:
                 del cache[next(iter(cache))]
 
     def _check_doubling(self, phi, z_coarse):
-        q = self.quadrature
-        y2 = np.linspace(-q.domain_halfwidth, q.domain_halfwidth,
-                         2 * q.node_count - 1)
-        dy2 = y2[1] - y2[0]
-        logw2 = np.full(y2.size, math.log(dy2))
-        logw2[0] -= math.log(2.0)
-        logw2[-1] -= math.log(2.0)
+        y2, logw2 = _trapezoid(self.quadrature,
+                               2 * self.quadrature.node_count - 1)
         z2 = float(logsumexp(-np.asarray(phi(y2), dtype=float) + logw2))
         if abs(z2 - z_coarse) > DOUBLING_TOLERANCE:
             raise QuadratureDiverged(
@@ -281,21 +266,30 @@ class Potential:
             return float(out[0])
         return out
 
-    def cumulants(self) -> CumulantGenerator:
-        """Bundle (rho, rho', rho'') as vectorized callables."""
-
-        def rho(lam):
-            return self.log_mgf(lam)
-
-        def rho_prime(lam):
-            return self._tilted_stats(lam, tail_check=True)[1]
-
-        def rho_double_prime(lam):
-            return self._tilted_stats(lam, tail_check=True)[2]
-
-        return CumulantGenerator(rho, rho_prime, rho_double_prime)
-
     # -- Legendre transform --------------------------------------------
+
+    def _bracket(self, x):
+        """Tilts ``(lo, hi)`` with rho'(lo) <= x <= rho'(hi), per entry of x.
+
+        Each end starts at -1 or 1 and doubles where still needed, up to
+        |tilt| = BRACKET_CAP; a mean value not reached there raises
+        RootNotBracketed.  An entry's bracket does not depend on its batch.
+        """
+        ends = []
+        for sign in (1.0, -1.0):
+            lam = np.full(x.shape, sign)
+            while True:
+                mean = self._tilted_stats(lam)[1]
+                need = mean < x if sign > 0 else mean > x
+                if not np.any(need):
+                    break
+                capped = need & (np.abs(lam) >= BRACKET_CAP)
+                if np.array_equal(capped, need):
+                    raise _unachievable(x[capped], self.quadrature)
+                lam = np.where(need, np.clip(2.0 * lam, -BRACKET_CAP,
+                                             BRACKET_CAP), lam)
+            ends.append(lam)
+        return ends[1], ends[0]
 
     def legendre_h(self, x):
         """Legendre transform of the log-MGF at mean value x.
@@ -309,40 +303,14 @@ class Potential:
     def legendre_h_vec(self, x):
         """Vectorized Legendre transform; returns (h, lam_star) arrays.
 
-        Safeguarded Newton on the monotone map lam -> rho'(lam), with the
-        bracket grown geometrically from [-1, 1] up to |lam| = BRACKET_CAP.
-        Raises RootNotBracketed for unachievable mean values.
+        Safeguarded Newton on the monotone map lam -> rho'(lam) inside the
+        brackets of :meth:`_bracket`.  Raises RootNotBracketed for
+        unachievable mean values.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim != 1:
             raise ValueError("legendre_h_vec expects a 1-d array")
-        lo = np.full(x.shape, -1.0)
-        hi = np.full(x.shape, 1.0)
-
-        # Grow brackets until rho'(lo) <= x <= rho'(hi) everywhere.
-        for _ in range(32):
-            m_hi = self._tilted_stats(hi)[1]
-            need = m_hi < x
-            if not np.any(need):
-                break
-            if np.all(hi[need] >= BRACKET_CAP):
-                bad = x[need & (hi >= BRACKET_CAP)]
-                raise _unachievable(f"mean value(s) {bad[:4]}", self.quadrature)
-            hi = np.where(need, np.minimum(hi * 2.0, BRACKET_CAP), hi)
-        else:
-            raise RootNotBracketed("bracket expansion did not terminate")
-        for _ in range(32):
-            m_lo = self._tilted_stats(lo)[1]
-            need = m_lo > x
-            if not np.any(need):
-                break
-            if np.all(lo[need] <= -BRACKET_CAP):
-                bad = x[need & (lo <= -BRACKET_CAP)]
-                raise _unachievable(f"mean value(s) {bad[:4]}", self.quadrature)
-            lo = np.where(need, np.maximum(lo * 2.0, -BRACKET_CAP), lo)
-        else:
-            raise RootNotBracketed("bracket expansion did not terminate")
-
+        lo, hi = self._bracket(x)
         lam = 0.5 * (lo + hi)
         tol = 1e-12 * (1.0 + np.abs(x))
         for _ in range(200):
@@ -370,7 +338,8 @@ class Potential:
     def _envelope(self, lo, hi):
         """Read-only ``(xs, lams, vars)`` of the envelope table on [lo, hi].
 
-        Brackets the tilt range whose means cover [lo, hi], then inverts
+        Brackets the tilt range whose means cover [lo, hi] (see
+        :meth:`_bracket`), then inverts
         the forward map lam -> mean by interpolation with two Newton
         polishes, the last one tail-checked.  Root-finding per node would
         redo the quadrature hundreds of times; this way costs three
@@ -382,16 +351,8 @@ class Potential:
         table = self._envelopes.get(key)
         if table is not None:
             return table
-        lam_hi = 1.0
-        while self._tilted_stats(lam_hi)[1] < hi:
-            if lam_hi >= BRACKET_CAP:
-                raise _unachievable(f"mean value {hi:g}", self.quadrature)
-            lam_hi = min(lam_hi * 2.0, BRACKET_CAP)
-        lam_lo = -1.0
-        while self._tilted_stats(lam_lo)[1] > lo:
-            if lam_lo <= -BRACKET_CAP:
-                raise _unachievable(f"mean value {lo:g}", self.quadrature)
-            lam_lo = max(lam_lo * 2.0, -BRACKET_CAP)
+        lows, highs = self._bracket(np.asarray(key))
+        lam_lo, lam_hi = lows[0], highs[1]
         lam_grid = np.linspace(lam_lo, lam_hi, ENVELOPE_NODES)
         fwd_means = self._tilted_stats(lam_grid)[1]
 
@@ -527,10 +488,14 @@ class EnvelopeTable:
         self._build(lo, hi)
 
     @classmethod
-    def padded(cls, pot: Potential, lo: float, hi: float, pad: float):
-        """Table over [lo - pad, hi + pad], or over [lo, hi] alone when the
-        potential cannot resolve the padded range."""
-        return _build_padded(lambda a, b: cls(pot, a, b), lo, hi, pad)
+    def padded(cls, pot: Potential, values):
+        """Table over the range [lo, hi] of ``values`` padded by
+        max(hi - lo, 1) on each side, or over [lo, hi] alone when the
+        potential cannot resolve the padded range: the one range rule of
+        the solver, the rate defect and the weak form."""
+        lo, hi = float(np.min(values)), float(np.max(values))
+        return _build_padded(lambda a, b: cls(pot, a, b), lo, hi,
+                             max(hi - lo, 1.0))
 
     def _build(self, lo, hi):
         if hi - lo < 1e-6:

@@ -144,10 +144,10 @@ def test_contraction_certificate_on_one_pair(gaussian):
 
 @pytest.mark.parametrize("amp", [2.5, 5.0])
 def test_solve_covers_a_start_whose_padding_is_unresolvable(gaussian, amp):
-    # the solver pads m0's range (-A, A) to (-3A, 3A) and the weak form
-    # pads the field's by 1; past about 6.2 the Gaussian's tilted
-    # densities leak out of the quadrature window, so both tables fall
-    # back to the unpadded range instead of failing
+    # the solver and the weak form pad the range (-A, A) to (-3A, 3A);
+    # past about 6.2 the Gaussian's tilted densities leak out of the
+    # quadrature window, so the table falls back to the unpadded range
+    # instead of failing
     j, horizon = 32, 0.01
     m0 = amp * _sine(j)
     field = solve_controlled_pde(gaussian, m0, horizon=horizon, j_cells=j)

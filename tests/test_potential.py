@@ -116,15 +116,17 @@ def test_tail_check_covers_every_block(gaussian):
         gaussian._tilted_stats(lams, tail_check=True)
 
 
-def test_cumulants_bundle_consistency(quartic):
-    cg = quartic.cumulants()
+def test_tilted_moments_are_log_mgf_derivatives(quartic):
     lam = 0.8
     eps = 1e-4
+    rho = quartic.log_mgf
     # finite differences of rho agree with the analytic tilted moments
-    d1 = (cg.rho(lam + eps) - cg.rho(lam - eps)) / (2 * eps)
-    d2 = (cg.rho(lam + eps) - 2 * cg.rho(lam) + cg.rho(lam - eps)) / eps ** 2
-    assert d1 == pytest.approx(cg.rho_prime(lam), abs=1e-6)
-    assert d2 == pytest.approx(cg.rho_double_prime(lam), rel=1e-4)
+    d1 = (rho(lam + eps) - rho(lam - eps)) / (2 * eps)
+    d2 = (rho(lam + eps) - 2 * rho(lam) + rho(lam - eps)) / eps ** 2
+    r, mean, var = quartic._tilted_stats(lam, tail_check=True)
+    assert r == pytest.approx(rho(lam), abs=1e-12)
+    assert d1 == pytest.approx(mean, abs=1e-6)
+    assert d2 == pytest.approx(var, rel=1e-4)
 
 
 def test_quartic_normalized_and_symmetric(quartic):
@@ -225,6 +227,105 @@ def test_family_sampler_matches_per_tilt_sampler(gaussian, rng):
         assert abs(row.var() - 1.0) < 6 * se
 
 
+CAP = potential_mod.BRACKET_CAP
+
+
+def _scalar_bracket_envelope(pot, lo, hi):
+    """``Potential._envelope`` as it was written before ``_bracket``: one
+    scalar doubling loop per end of [lo, hi], no memo."""
+    lam_hi = 1.0
+    while pot._tilted_stats(lam_hi)[1] < hi:
+        if lam_hi >= CAP:
+            raise RootNotBracketed(f"mean value {hi:g}")
+        lam_hi = min(lam_hi * 2.0, CAP)
+    lam_lo = -1.0
+    while pot._tilted_stats(lam_lo)[1] > lo:
+        if lam_lo <= -CAP:
+            raise RootNotBracketed(f"mean value {lo:g}")
+        lam_lo = max(lam_lo * 2.0, -CAP)
+    lam_grid = np.linspace(lam_lo, lam_hi, potential_mod.ENVELOPE_NODES)
+    fwd_means = pot._tilted_stats(lam_grid)[1]
+    xs = np.linspace(lo, hi, potential_mod.ENVELOPE_NODES)
+    lams = np.interp(xs, fwd_means, lam_grid)
+    for tail_check in (False, True):
+        _, mean, var = pot._tilted_stats(lams, tail_check=tail_check)
+        lams = np.clip(lams - (mean - xs) / np.maximum(var, 1e-300),
+                       lam_lo, lam_hi)
+    return xs, lams, var
+
+
+def _vector_bracket_legendre(pot, x):
+    """``Potential.legendre_h_vec`` as it was written before ``_bracket``:
+    two vector doubling loops, then the safeguarded Newton solve."""
+    lo = np.full(x.shape, -1.0)
+    hi = np.full(x.shape, 1.0)
+    for _ in range(32):
+        need = pot._tilted_stats(hi)[1] < x
+        if not np.any(need):
+            break
+        if np.all(hi[need] >= CAP):
+            raise RootNotBracketed(f"mean value(s) {x[need & (hi >= CAP)]}")
+        hi = np.where(need, np.minimum(hi * 2.0, CAP), hi)
+    for _ in range(32):
+        need = pot._tilted_stats(lo)[1] > x
+        if not np.any(need):
+            break
+        if np.all(lo[need] <= -CAP):
+            raise RootNotBracketed(f"mean value(s) {x[need & (lo <= -CAP)]}")
+        lo = np.where(need, np.maximum(lo * 2.0, -CAP), lo)
+    lam = 0.5 * (lo + hi)
+    tol = 1e-12 * (1.0 + np.abs(x))
+    for _ in range(200):
+        _, mean, var = pot._tilted_stats(lam)
+        f = mean - x
+        if np.all(np.abs(f) <= tol):
+            break
+        lo = np.where(f < 0, lam, lo)
+        hi = np.where(f >= 0, lam, hi)
+        cand = lam - f / np.maximum(var, 1e-300)
+        bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
+        lam = np.where(bad, 0.5 * (lo + hi), cand)
+    else:
+        raise RootNotBracketed("tilt solve did not converge")
+    rho, _, _ = pot._tilted_stats(lam, tail_check=True)
+    return lam * x - rho, lam
+
+
+def _outcome(fn, *args):
+    """Result bytes of fn(*args), or the type of the error it raises."""
+    try:
+        return b"".join(np.asarray(a).tobytes() for a in fn(*args))
+    except (RootNotBracketed, QuadratureDiverged) as exc:
+        return type(exc)
+
+
+# a coarse grid keeps each build cheap; a tilt's stats do not depend on
+# its batch at any node count
+_COARSE = QuadratureSpec(node_count=1024)
+_BRACKET_POTENTIALS = (gaussian_potential(_COARSE),
+                       quartic_potential(1.0, 1.0, _COARSE),
+                       quartic_potential(1.0, 0.0, _COARSE))
+_MEANS = st.floats(-14.0, 14.0, allow_nan=False)
+
+
+@settings(max_examples=15, deadline=None)
+@given(ends=st.lists(_MEANS, min_size=2, max_size=2).map(sorted),
+       xs=st.lists(_MEANS, min_size=1, max_size=6))
+@example(ends=[0.25, 0.25], xs=[0.0])            # a degenerate range
+@example(ends=[0.0, 9.0], xs=[8.0, -0.5])        # leaks past the window
+@example(ends=[-13.0, 0.0], xs=[13.0, 0.0])      # past the tilt cap
+@example(ends=[-20.0, 20.0], xs=[-20.0, 20.0])   # both ends unachievable
+def test_one_bracket_search_matches_the_two_loops_bit_for_bit(ends, xs):
+    lo, hi = ends
+    x = np.asarray(xs)
+    for pot in _BRACKET_POTENTIALS:
+        pot._envelopes.clear()
+        assert _outcome(pot._envelope, lo, hi) == \
+            _outcome(_scalar_bracket_envelope, pot, lo, hi)
+        assert _outcome(pot.legendre_h_vec, x) == \
+            _outcome(_vector_bracket_legendre, pot, x)
+
+
 def test_envelope_table_matches_newton_solve(gaussian, quartic):
     for pot in (gaussian, quartic):
         table = EnvelopeTable(pot, -1.5, 1.5)
@@ -273,12 +374,15 @@ def test_envelope_table_drops_unresolvable_padding(gaussian):
     assert table(np.asarray([4.6]))[0] == pytest.approx(4.6, abs=1e-8)
     assert (table.lo, table.hi) == (-4.5, 4.6)
     assert not table.range_escaped
-    padded = EnvelopeTable.padded(gaussian, -1.0, 1.0, 1.0)
-    assert (padded.lo, padded.hi) == (-2.0, 2.0)
-    fallback = EnvelopeTable.padded(gaussian, -2.5, 2.5, 5.0)
+    # the range of the values is padded by max(hi - lo, 1) on each side
+    padded = EnvelopeTable.padded(gaussian, np.asarray([0.5, -0.5, 0.0]))
+    assert (padded.lo, padded.hi) == (-1.5, 1.5)
+    padded = EnvelopeTable.padded(gaussian, np.asarray([[1.0], [-1.0]]))
+    assert (padded.lo, padded.hi) == (-3.0, 3.0)
+    fallback = EnvelopeTable.padded(gaussian, np.asarray([-2.5, 2.5]))
     assert (fallback.lo, fallback.hi) == (-2.5, 2.5)
     with pytest.raises(QuadratureDiverged):
-        EnvelopeTable.padded(gaussian, 0.0, 9.0, 1.0)
+        EnvelopeTable.padded(gaussian, np.asarray([0.0, 9.0]))
 
 
 def _table_bytes(table):

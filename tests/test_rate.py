@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from gllab import (ControlGrid, DensityField, EnvelopeTable, NotMeanZero,
                    RateDecomposition,
                    cfl_time_steps, dynamic_cost_via_seminorm,
-                   h_minus_one_seminorm, initial_cost, minimal_control, rate,
-                   sine_target_field, solve_controlled_pde)
+                   gaussian_potential, h_minus_one_seminorm, initial_cost,
+                   minimal_control, rate, sine_target_field,
+                   solve_controlled_pde)
 from gllab.rate import _defect
 
 
@@ -138,8 +139,7 @@ def _defect_by_rows(pot, field):
     before it made one table lookup over the whole field."""
     vals = field.values
     dt, dth = field.dt, field.dtheta
-    table = EnvelopeTable(pot, float(np.min(vals)) - 1.0,
-                          float(np.max(vals)) + 1.0)
+    table = EnvelopeTable.padded(pot, vals)
     g = np.empty((field.n_steps, field.j_cells))
     for k in range(field.n_steps):
         hm = table(vals[k])
@@ -171,3 +171,17 @@ def test_vectorised_defect_matches_rows_on_a_solved_path(gaussian):
                                                        * _grid(j)), u)
     assert np.array_equal(_defect(gaussian, field),
                           _defect_by_rows(gaussian, field))
+
+
+def test_rate_of_a_solved_path_reuses_the_solver_table():
+    # the heat flow keeps the field inside m0's range, so the solver and
+    # the rate defect pad the same range and share one memoized table
+    pot = gaussian_potential()
+    j = 32
+    m0 = 0.9 * np.cos(2.0 * np.pi * _grid(j)) + 0.4
+    field = solve_controlled_pde(pot, m0, horizon=0.02, j_cells=j)
+    built = list(pot._envelopes)
+    assert len(built) == 1
+    dec = rate(pot, field)
+    assert dec.feasible
+    assert list(pot._envelopes) == built
