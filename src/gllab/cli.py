@@ -25,6 +25,7 @@ import configparser
 import math
 import os
 import re
+import shutil
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -46,7 +47,8 @@ ENV_OUTPUT_DIR = "GLLAB_OUTPUT_DIR"
 
 # A plan is impossible, and exits 2 before anything is allocated, when its
 # step count reaches 2**53, past which the step times k*dt are not exact,
-# or when its output arrays alone exceed this machine's physical memory.
+# when its output arrays alone exceed this machine's physical memory, or
+# when its output files alone exceed the free space of their filesystem.
 MAX_STEPS = 2 ** 53
 MEMORY_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
@@ -258,6 +260,18 @@ def _check_size(keys: str, n_floats: int):
                             "of memory")
 
 
+def _check_disk(keys: str, n_bytes: int, out: Path):
+    """Exit 2 when files of at least ``n_bytes`` cannot fit under out."""
+    existing = out.absolute()
+    while not existing.exists():
+        existing = existing.parent
+    free = shutil.disk_usage(existing).free
+    if n_bytes > free:
+        raise ConfigInvalid(f"{keys} plan at least {n_bytes:.3g} bytes of "
+                            f"output files, more than the {free:.3g} bytes "
+                            f"free under {existing}")
+
+
 def _steps_or_inf(count, *args):
     """``count(*args)``, or inf where the step count overflows a float."""
     try:
@@ -275,6 +289,9 @@ def cmd_simulate(pot, cfg, out: Path):
                 s.snapshots * group * s.n_sites)
     dt = stable_dt(pot, s.n_sites) if s.dt is None else s.dt
     _check_steps("[simulate] horizon and dt", s.horizon / dt)
+    # each of the n_sites + 3 values of a row takes a digit and a separator
+    _check_disk("[simulate] replicas, snapshots and n_sites",
+                s.replicas * s.snapshots * (s.n_sites + 3) * 2, out)
     config = SimConfig(s.n_sites, s.horizon, dt, seed=seed)
     profile = s.profile(pot)
     control = None

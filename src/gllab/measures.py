@@ -9,6 +9,9 @@ theta_{k+1}) for cyclically adjacent atoms only.  Chained along the shorter
 arc, the neighbour rows give the Lipschitz bound for every pair (see
 ``bl_distance``), so the LP has O(m) rows and needs no atom cap.  Path
 distance is the max over shared snapshot times.
+
+scipy's LP solver is imported on the first solve, not with this module:
+it is most of the package's import time, and most runs never solve an LP.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .errors import TimeGridMismatch
 from .particles import LatticeState, TrajectoryRecord, write_csv
@@ -90,6 +91,12 @@ def arc_distance(a, b):
     return np.minimum(d, 1.0 - d)
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call."""
+    from scipy.optimize import linprog as solve
+    return solve(*args, **kwargs)
+
+
 def bl_distance(mu1: AtomicSignedMeasure, mu2: AtomicSignedMeasure) -> float:
     """Bounded-Lipschitz distance, solved exactly as a finite LP.
 
@@ -116,6 +123,8 @@ def bl_distance(mu1: AtomicSignedMeasure, mu2: AtomicSignedMeasure) -> float:
     m = theta.size
     if m == 1:
         return float(np.abs(c[0]))
+
+    from scipy import sparse
 
     # np.unique sorted theta: row k pairs atom k with its successor
     d = arc_distance(theta, np.roll(theta, -1))

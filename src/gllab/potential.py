@@ -9,7 +9,8 @@ density ``exp(-phi(x))``; a normalization offset is computed once at
 construction so this density integrates to one.
 
 All integrals run over one fixed trapezoid grid and are evaluated in log
-space (logsumexp), so moderately large tilts do not overflow.  A doubling
+space (``_logsumexp``, a numpy log-sum-exp that matches scipy's bit for
+bit), so moderately large tilts do not overflow.  A doubling
 check at construction and a tail-mass check on every user-facing integral
 guard the fixed window: if either fails, :class:`QuadratureDiverged` is
 raised rather than returning a silently truncated value.
@@ -23,7 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import QuadratureDiverged, RootNotBracketed
 
@@ -71,6 +71,29 @@ def _trapezoid(q: "QuadratureSpec", node_count: int):
     logw[0] -= math.log(2.0)
     logw[-1] -= math.log(2.0)
     return y, logw
+
+
+def _logsumexp(a):
+    """log(sum(exp(a))) of a 1-d array, as ``scipy.special.logsumexp``
+    computes it, operation for operation.
+
+    The maxima are split off the sum for precision; a non-finite result
+    (overflow, all -inf, +inf or nan entries) falls back to the direct
+    formula.  Only numpy ufuncs are used: numpy's SIMD ``log`` may differ
+    from libm's in the last place.
+    """
+    a = np.asarray(a, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a)
+        top = a == a_max
+        m = np.count_nonzero(top)
+        s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max))
+        if s != 0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.sum(np.exp(a)))
+    return out
 
 
 def _unachievable(bad, quadrature) -> RootNotBracketed:
@@ -135,7 +158,7 @@ class Potential:
             raise ValueError("phi must be finite and vectorized on the grid")
 
         # Additive constant making exp(-phi) integrate to one.
-        z = float(logsumexp(-raw + logw))
+        z = float(_logsumexp(-raw + logw))
         self._check_doubling(phi, z)
         self.normalization_offset = z
         self._raw_phi = phi
@@ -186,7 +209,7 @@ class Potential:
     def _check_doubling(self, phi, z_coarse):
         y2, logw2 = _trapezoid(self.quadrature,
                                2 * self.quadrature.node_count - 1)
-        z2 = float(logsumexp(-np.asarray(phi(y2), dtype=float) + logw2))
+        z2 = float(_logsumexp(-np.asarray(phi(y2), dtype=float) + logw2))
         if abs(z2 - z_coarse) > DOUBLING_TOLERANCE:
             raise QuadratureDiverged(
                 f"doubling check failed: |{z2:.3e} - {z_coarse:.3e}| "
@@ -195,8 +218,8 @@ class Potential:
     def _tail_checked_logsumexp(self, log_integrand, what):
         """logsumexp over the grid, raising if the window truncates mass."""
         gw = log_integrand + self._logw
-        total = float(logsumexp(gw))
-        edge = float(logsumexp([gw[0], gw[-1]]))
+        total = float(_logsumexp(gw))
+        edge = float(_logsumexp([gw[0], gw[-1]]))
         if not math.isfinite(total) or edge - total > _LOG_TAIL_BUDGET:
             raise QuadratureDiverged(
                 f"{what}: integrand tail exceeds the truncation budget "
@@ -401,7 +424,7 @@ class Potential:
             raise ValueError("cutoff must be nonnegative")
         _, lam = self.legendre_h(x)
         g = lam * self._y - self._phi_grid + self._logw
-        w = np.exp(g - logsumexp(g))
+        w = np.exp(g - _logsumexp(g))
         clipped = np.clip(self._phi_prime_grid, -cutoff, cutoff)
         return float(w @ clipped)
 

@@ -4,7 +4,10 @@ import configparser
 import contextlib
 import io
 import os
+import subprocess
+import sys
 import tempfile
+import textwrap
 from pathlib import Path
 from unittest import mock
 
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import gllab
 from gllab import (SimConfig, SimpleControl, make_potential, particles,
                    sample_initial_from_profile, simulate_trajectory,
                    stable_dt, tilted_sine_profile)
@@ -290,6 +294,9 @@ def test_bad_values_exit_with_one_line(tmp_path, capsys, subcommand, text,
 @pytest.mark.parametrize("subcommand, text, key", [
     ("simulate", "[simulate]\nn_sites = 4\nhorizon = 1e300\n", "horizon"),
     ("simulate", f"[simulate]\nsnapshots = {2 ** 62}\n", "snapshots"),
+    # groups bound the memory, so only the files' size catches this count
+    ("simulate", "[simulate]\nn_sites = 4\nhorizon = 0.001\nsnapshots = 2\n"
+                 "replicas = 1000000000000\n", "[simulate] replicas"),
     ("pde", "[pde]\nj_cells = 8\nhorizon = 1e300\n", "horizon"),
     ("pde", f"[pde]\nj_cells = {2 ** 62}\n", "j_cells"),
     ("rate", f"[rate]\nn_steps = {2 ** 53}\n", "n_steps"),
@@ -387,3 +394,36 @@ def test_main_keeps_its_exit_code_contract(subcommand, key, value):
         assert csvs == sorted(p.name for p in (tmp / "o2").glob("*.csv"))
         for name in csvs:
             assert _csv_rows(tmp / "o1" / name) == _csv_rows(tmp / "o2" / name)
+
+
+def test_gllab_starts_without_scipy(tmp_path):
+    # scipy is most of a fresh interpreter's start-up; only the first
+    # bounded-Lipschitz LP may load it
+    ini = tmp_path / "tiny.ini"
+    ini.write_text("".join(
+        f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+        for s, kv in _TINY.items()))
+    code = textwrap.dedent("""
+        import sys
+        import gllab
+        from gllab import cli, gaussian_potential, quartic_potential
+        from gllab.measures import AtomicSignedMeasure, bl_distance
+        gaussian_potential(), quartic_potential()
+        ini, out = sys.argv[1:]
+        for sub in ("simulate", "pde", "rate", "ldp"):
+            assert cli.main([sub, "--config", ini,
+                             "--output-dir", f"{out}/{sub}"]) == 0
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        print(bl_distance(AtomicSignedMeasure([0.0], [1.0]),
+                          AtomicSignedMeasure([0.25], [1.0])))
+        print("scipy.optimize" in sys.modules)
+    """)
+    src = os.path.dirname(os.path.dirname(gllab.__file__))
+    run = subprocess.run(
+        [sys.executable, "-c", code, str(ini), str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        check=True)
+    loaded, distance, solver_loaded = run.stdout.splitlines()[-3:]
+    assert loaded == "[]"
+    assert float(distance) == pytest.approx(0.25, abs=1e-12)
+    assert solver_loaded == "True"

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import logsumexp
 
 import gllab
 from gllab import (EnvelopeTable, Potential, QuadratureSpec,
@@ -114,6 +115,45 @@ def test_tail_check_covers_every_block(gaussian):
     lams[100] = 10.0
     with pytest.raises(QuadratureDiverged):
         gaussian._tilted_stats(lams, tail_check=True)
+
+
+def _matches_scipy(ours, values):
+    with np.errstate(all="ignore"):      # scipy warns where it overflows
+        theirs = logsumexp(values)
+    return np.float64(ours).tobytes() == np.float64(theirs).tobytes()
+
+
+_SPECIALS = st.sampled_from([-np.inf, np.inf, np.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 5000), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([0.0, 1e-3, 1.0, 30.0, 800.0]),
+       offset=st.sampled_from([0.0, -800.0, 800.0, -745.0, 709.0]),
+       ties=st.integers(0, 8), special=_SPECIALS,
+       n_special=st.integers(0, 8) | st.just(5000))
+@example(n=4096, seed=1, scale=1.0, offset=0.0, ties=0, special=np.nan,
+         n_special=0)
+@example(n=7, seed=2, scale=1.0, offset=0.0, ties=0, special=-np.inf,
+         n_special=5000)                             # all -inf
+@example(n=9, seed=3, scale=0.0, offset=800.0, ties=0, special=np.inf,
+         n_special=0)                                # all equal, overflow
+def test_logsumexp_matches_scipy_bit_for_bit(n, seed, scale, offset, ties,
+                                             special, n_special):
+    rng = np.random.default_rng(seed)
+    a = offset + scale * rng.standard_normal(n)
+    a[rng.integers(0, n, ties)] = np.max(a)          # repeated maxima
+    a[rng.permutation(n)[:n_special]] = special      # 5000: all of them
+    assert _matches_scipy(potential_mod._logsumexp(a), a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(width=64), min_size=1, max_size=40))
+def test_logsumexp_matches_scipy_on_any_short_list(values):
+    # the tail check passes two-value lists [gw[0], gw[-1]]
+    assert _matches_scipy(potential_mod._logsumexp(values), values)
+    pair = [np.float64(values[0]), np.float64(values[-1])]
+    assert _matches_scipy(potential_mod._logsumexp(pair), pair)
 
 
 def test_tilted_moments_are_log_mgf_derivatives(quartic):
