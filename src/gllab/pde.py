@@ -10,16 +10,16 @@ Both terms telescope, so cell-average mass is conserved to round-off.
 Face values of the control are the average of the two neighboring cells;
 piecewise-constant controls embedded from the particle system use the
 left cell's value instead so the embedding is exact.  Stability needs
-dt <= dtheta^2 / max H'(m); the solver validates this against the
-envelope curvature over the initial range and raises CFLViolation.
+dt <= dtheta^2 / max H'(m), H' = 1/var over the envelope chunks the field
+reads: the initial density's (the scheme is then monotone) and, under a
+control, each chunk it gains later.  A violation raises CFLViolation.
 
 The solver steps in place: the control flux of every time slice is
 computed before the loop, and each step writes the 3-point Laplacian into
 one preallocated buffer and the new level straight into the output
 field, with the floating-point grouping ((H[j+1] - 2 H[j]) + H[j-1],
 then m + diff*lap, then minus the flux) of the step written with
-``np.roll``.  Its envelope table, like every other built from the same
-range, comes from the potential's memo (see ``EnvelopeTable``).
+``np.roll``.
 """
 
 from __future__ import annotations
@@ -159,24 +159,33 @@ class DensityField:
 
 
 def _resolve_grid(pot: Potential, m0, j_cells):
-    """Initial density on the grid, its envelope table, and the largest
-    stable step CFL_SAFETY * dtheta^2 / max H'."""
+    """Initial density on the grid and its envelope table."""
     m0_arr = np.asarray(m0(np.arange(j_cells) / j_cells)
                         if callable(m0) else m0, dtype=float)
     if m0_arr.ndim != 1:
         raise ValueError("initial density must be one-dimensional")
-    table = EnvelopeTable.padded(pot, m0_arr)
-    dtheta = 1.0 / m0_arr.size
-    return m0_arr, table, CFL_SAFETY * dtheta ** 2 / table.max_curvature()
+    return m0_arr, EnvelopeTable(pot, np.min(m0_arr), np.max(m0_arr))
 
 
-def _cfl_steps(horizon: float, dt_max: float) -> int:
-    return max(1, int(math.ceil(horizon / dt_max)))
+def _stable_dt(table: EnvelopeTable, j_cells: int, dt: float = 0.0):
+    """CFL_SAFETY * dtheta^2 / max H' over the table; checks ``dt``."""
+    dt_max = CFL_SAFETY * (1.0 / j_cells) ** 2 / table.max_curvature()
+    if dt > dt_max * (1 + 1e-9):
+        raise CFLViolation(
+            f"dt={dt:g} exceeds {dt_max:g} "
+            f"(= safety*dtheta^2/max_curvature with safety={CFL_SAFETY:g}, "
+            f"J={j_cells}, max H'={table.max_curvature():g})")
+    return dt_max
+
+
+def _cfl_steps(horizon: float, table: EnvelopeTable, j_cells: int) -> int:
+    return max(1, int(math.ceil(horizon / _stable_dt(table, j_cells))))
 
 
 def cfl_time_steps(pot: Potential, m0, j_cells: int, horizon: float) -> int:
     """Smallest step count satisfying dt <= CFL_SAFETY * dtheta^2 / max H'."""
-    return _cfl_steps(horizon, _resolve_grid(pot, m0, j_cells)[2])
+    m, table = _resolve_grid(pot, m0, j_cells)
+    return _cfl_steps(horizon, table, m.size)
 
 
 def solve_controlled_pde(pot: Potential, m0, u: ControlGrid | None = None,
@@ -197,18 +206,14 @@ def solve_controlled_pde(pot: Potential, m0, u: ControlGrid | None = None,
         raise ValueError("horizon must be positive")
     if callable(m0) and j_cells is None:
         raise ValueError("j_cells required with a callable initial density")
-    m, table, dt_max = _resolve_grid(pot, m0, j_cells)
+    m, table = _resolve_grid(pot, m0, j_cells)
     j_cells = m.size
 
     dtheta = 1.0 / j_cells
     if n_steps is None:
-        n_steps = _cfl_steps(horizon, dt_max)
+        n_steps = _cfl_steps(horizon, table, j_cells)
     dt = horizon / n_steps
-    if dt > dt_max * (1 + 1e-9):
-        raise CFLViolation(
-            f"dt={dt:g} exceeds {dt_max:g} "
-            f"(= safety*dtheta^2/max_curvature with safety={CFL_SAFETY:g}, "
-            f"J={j_cells}, max H'={table.max_curvature():g})")
+    _stable_dt(table, j_cells, dt)
 
     diff = 0.5 * dt / dtheta ** 2
     flux = None
@@ -220,6 +225,8 @@ def solve_controlled_pde(pot: Potential, m0, u: ControlGrid | None = None,
     lap = np.empty(j_cells)
     for k in range(n_steps):
         hm = table(out[k])
+        if flux is not None:
+            _stable_dt(table, j_cells, dt)     # the table may have grown
         # lap = (hm[j+1] - 2 hm[j]) + hm[j-1] on the circle, in place
         np.multiply(hm, 2.0, out=lap)
         np.subtract(hm[1:], lap[:-1], out=lap[:-1])
@@ -267,7 +274,8 @@ def weak_form_residual(pot: Potential, field: DensityField,
                 - np.sum(field.values[0] * jv)) * dtheta
     diffusive = advective = 0.0
     if k_end:
-        hm = EnvelopeTable.padded(pot, field.values)(field.values[:k_end])
+        vals = field.values[:k_end]
+        hm = EnvelopeTable(pot, np.min(vals), np.max(vals))(vals)
         diffusive = np.sum(hm * jpp) * dtheta * dt
         if u is not None:
             advective = np.sum(u.values[:k_end] * jp) * dtheta * dt
@@ -304,8 +312,7 @@ def contraction_gap(pot: Potential, m0, u1: ControlGrid, u2: ControlGrid):
     Returns (lhs, rhs): lhs is the bounded-Lipschitz distance between the
     two solutions from the same initial density, the max over 9 evenly
     spaced snapshots with one atom per cell; rhs is exp(T/2) times the L2
-    distance of the controls.  For J <= 64 this is the same lhs as the
-    earlier min(J, 64)-atom rule gave.
+    distance of the controls.
     """
     from .measures import path_from_density_slices, d_star
 

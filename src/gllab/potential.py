@@ -18,6 +18,7 @@ raised rather than returning a silently truncated value.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 import warnings
@@ -43,25 +44,22 @@ DOUBLING_TOLERANCE = 1e-8
 # moment condition the particle drift analysis needs.
 SIGMA_CHECKS = (0.5, 1.0)
 
-# Nodes of an envelope-slope table; tilts tabulated by a tilted-family
-# sampler.
-ENVELOPE_NODES = 2049
+# Envelope-slope nodes x = k * ENVELOPE_SPACING, each an exact float; chunk
+# c holds nodes k = c * CHUNK_NODES, ..., (c + 1) * CHUNK_NODES - 1.
+ENVELOPE_SPACING = 2.0 ** -9
+CHUNK_NODES = 128
+CHUNK_WIDTH = CHUNK_NODES * ENVELOPE_SPACING
+
+# Tilts tabulated by a tilted-family sampler.
 FAMILY_TILTS = 129
 
 # Bytes of one row block of tilted integrands: 32 rows at the default 4096
 # nodes, about half of a 2 MB per-core L2 cache.
 STATS_BLOCK_BYTES = 1 << 20
 
-# Entries each cache of a Potential keeps before it drops its oldest: at
-# most 8 MB of tilt CDFs and 12.6 MB of envelope tables at the default
-# quadrature.
+# Tilt CDFs a Potential keeps before it drops its oldest: at most 8 MB at
+# the default quadrature.
 CACHE_ENTRIES = 256
-
-
-def _read_only(a):
-    a = np.asarray(a)
-    a.flags.writeable = False
-    return a
 
 
 def _trapezoid(q: "QuadratureSpec", node_count: int):
@@ -134,13 +132,11 @@ class Potential:
     The moment condition of ``SIGMA_CHECKS`` is verified at construction.
 
     Instances are safe to share across threads.  Their only mutable state
-    is two caches of deterministic results: the tilted-sampling CDFs
-    (``_tilt_tables``) and finished envelope tables keyed on their exact
-    range (``_envelopes``).  Each holds at most ``CACHE_ENTRIES`` entries,
-    dropping the oldest first; insertion and eviction run under one lock,
-    and two threads that compute the same key store equal values.  No method
-    keeps scratch state on the instance: the quadrature kernels allocate
-    their buffers per call.
+    is two caches of deterministic results, filled under one lock: the
+    tilted-sampling CDFs (``_tilt_tables``, oldest dropped past
+    ``CACHE_ENTRIES``) and the envelope chunks (``_chunks``, see
+    :meth:`_envelope`); two threads computing one key store equal values.
+    No method keeps scratch state: kernels allocate buffers per call.
     """
 
     def __init__(self, phi, phi_prime, phi_double_prime,
@@ -175,7 +171,7 @@ class Potential:
             self._tail_checked_logsumexp(g, f"sigma moment check (sigma={sigma})")
 
         self._tilt_tables: dict[float, np.ndarray] = {}
-        self._envelopes: dict[tuple[float, float], tuple] = {}
+        self._chunks: dict[int, tuple | Exception] = {}
         self._cache_lock = threading.Lock()
 
     # -- basic closures ------------------------------------------------
@@ -327,8 +323,8 @@ class Potential:
         """Vectorized Legendre transform; returns (h, lam_star) arrays.
 
         Safeguarded Newton on the monotone map lam -> rho'(lam) inside the
-        brackets of :meth:`_bracket`.  Raises RootNotBracketed for
-        unachievable mean values.
+        brackets of :meth:`_bracket`; an entry within tolerance stops
+        stepping.  Raises RootNotBracketed for unachievable mean values.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim != 1:
@@ -339,14 +335,14 @@ class Potential:
         for _ in range(200):
             _, mean, var = self._tilted_stats(lam)
             f = mean - x
-            if np.all(np.abs(f) <= tol):
+            live = np.abs(f) > tol
+            if not np.any(live):
                 break
-            lo = np.where(f < 0, lam, lo)
-            hi = np.where(f >= 0, lam, hi)
-            step = f / np.maximum(var, 1e-300)
-            cand = lam - step
+            lo = np.where(live & (f < 0), lam, lo)
+            hi = np.where(live & (f >= 0), lam, hi)
+            cand = lam - f / np.maximum(var, 1e-300)
             bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
-            lam = np.where(bad, 0.5 * (lo + hi), cand)
+            lam = np.where(live, np.where(bad, 0.5 * (lo + hi), cand), lam)
         else:
             raise RootNotBracketed(
                 f"tilt solve did not converge; residual "
@@ -356,38 +352,41 @@ class Potential:
         rho = np.atleast_1d(rho)
         return lam * x - rho, lam
 
-    # -- envelope tables -------------------------------------------------
+    # -- envelope table --------------------------------------------------
 
-    def _envelope(self, lo, hi):
-        """Read-only ``(xs, lams, vars)`` of the envelope table on [lo, hi].
+    def _envelope(self, c):
+        """Chunk c of the envelope table, ``(xs, lams, vars)`` read-only, or
+        its build's error; memoized for chunks starting inside the window
+        [-w, w] that bounds every tilted mean, 97 at the defaults."""
+        chunk = self._chunks.get(c)
+        if chunk is None:
+            try:
+                chunk = self._build_chunk(c)
+            except (RootNotBracketed, QuadratureDiverged) as exc:
+                chunk = exc.with_traceback(None)   # frees the build's frames
+            if abs(c * CHUNK_WIDTH) <= self.quadrature.domain_halfwidth:
+                with self._cache_lock:
+                    chunk = self._chunks.setdefault(c, chunk)
+        return chunk
 
-        Brackets the tilt range whose means cover [lo, hi] (see
-        :meth:`_bracket`), then inverts
-        the forward map lam -> mean by interpolation with two Newton
-        polishes, the last one tail-checked.  Root-finding per node would
-        redo the quadrature hundreds of times; this way costs three
-        vectorized passes.  A build is deterministic in (lo, hi), so it is
-        memoized under that exact key; a failed build raises and is not
-        kept.
-        """
-        key = (float(lo), float(hi))
-        table = self._envelopes.get(key)
-        if table is not None:
-            return table
-        lows, highs = self._bracket(np.asarray(key))
+    def _build_chunk(self, c):
+        """``(xs, lams, vars)`` of chunk c in three vectorized passes, not a
+        solve per node: the forward map lam -> mean on the bracketing tilts,
+        inverted by interpolation, then two Newton polishes, the last
+        tail-checked so that unresolvable slopes fail."""
+        xs = (c * CHUNK_NODES + np.arange(CHUNK_NODES)) * ENVELOPE_SPACING
+        lows, highs = self._bracket(xs[[0, -1]])
         lam_lo, lam_hi = lows[0], highs[1]
-        lam_grid = np.linspace(lam_lo, lam_hi, ENVELOPE_NODES)
+        lam_grid = np.linspace(lam_lo, lam_hi, CHUNK_NODES)
         fwd_means = self._tilted_stats(lam_grid)[1]
-
-        xs = np.linspace(lo, hi, ENVELOPE_NODES)
         lams = np.interp(xs, fwd_means, lam_grid)
         for tail_check in (False, True):
             _, mean, var = self._tilted_stats(lams, tail_check=tail_check)
             lams = np.clip(lams - (mean - xs) / np.maximum(var, 1e-300),
                            lam_lo, lam_hi)
-        table = (_read_only(xs), _read_only(lams), _read_only(var))
-        self._remember(self._envelopes, key, table)
-        return table
+        for a in (xs, lams, var):
+            a.flags.writeable = False
+        return xs, lams, var
 
     # -- tilted sampling -------------------------------------------------
 
@@ -399,10 +398,9 @@ class Potential:
             g = lam * self._y - self._phi_grid
             rho = self._tail_checked_logsumexp(g, f"tilt table (lam={lam:g})")
             dens = np.exp(g - rho)
-            cdf = np.concatenate(
+            table = np.concatenate(
                 [[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * self._dy)])
-            cdf /= cdf[-1]
-            table = cdf
+            table /= table[-1]
             self._remember(self._tilt_tables, key, table)
         return table
 
@@ -473,81 +471,77 @@ class TiltedFamilySampler:
         return out
 
 
-def _build_padded(build, lo, hi, pad):
-    """``build(lo - pad, hi + pad)``, or ``build(lo, hi)`` if that fails.
-
-    The padding only spares later rebuilds, so a padded range past what
-    the quadrature resolves must not fail a range that it resolves.
-    """
-    try:
-        return build(lo - pad, hi + pad)
-    except (RootNotBracketed, QuadratureDiverged):
-        return build(lo, hi)
-
-
 class EnvelopeTable:
-    """Piecewise-linear table of the envelope slope x -> lam*(x).
+    """One run's view of a potential's envelope slope x -> lam*(x).
 
-    The PDE solver evaluates the envelope slope per cell per step; solving
-    the tilt equation each time would dominate the runtime.  The table is
-    rebuilt with a widened range whenever a query escapes it; if the
-    underlying solve itself fails, queries are clamped, a warning is
-    emitted once, and ``range_escaped`` is set.
-
-    A build runs the tail check on its final tilts, so a range whose slopes
-    the quadrature window cannot resolve fails like an unattainable one.
-    Padding a range only spares later rebuilds, so a padded build that
-    fails (a regrowth here, or :meth:`padded`) falls back to the values
-    actually asked for.
-    Finished builds are memoized on the potential under their exact range
-    (see :meth:`Potential._envelope`), so tables over the same range share
-    read-only node arrays, bit-for-bit what a fresh build gives; each
-    table keeps its own range and ``range_escaped`` flag.
+    A value is interpolated between the two lattice nodes around it, so
+    its answer depends only on the chunks that own them (see
+    :meth:`Potential._envelope`), never on call order.  A view holds the
+    chunks it has read; ``lo`` and ``hi`` are their extent.  A value in a
+    failed chunk is clamped, toward zero, to the end node of the nearest
+    resolvable chunk; the first clamp warns, and each sets
+    ``range_escaped``.  ``EnvelopeTable(pot, lo, hi)`` reads every chunk
+    of [lo, hi], its end chunks (the likeliest to fail) first, and raises
+    the first failure.
     """
 
     def __init__(self, pot: Potential, lo: float, hi: float):
         self._pot = pot
         self.range_escaped = False
-        self._build(lo, hi)
+        self._chunks = {}
+        span = range(math.floor(lo / CHUNK_WIDTH),
+                     math.ceil(hi / ENVELOPE_SPACING) // CHUNK_NODES + 1)
+        for c in itertools.chain((span[0], span[-1]), span):
+            chunk = pot._envelope(c)
+            if isinstance(chunk, Exception):
+                raise type(chunk)(*chunk.args)
+            self._chunks[c] = chunk
+        self._join()
 
-    @classmethod
-    def padded(cls, pot: Potential, values):
-        """Table over the range [lo, hi] of ``values`` padded by
-        max(hi - lo, 1) on each side, or over [lo, hi] alone when the
-        potential cannot resolve the padded range: the one range rule of
-        the solver, the rate defect and the weak form."""
-        lo, hi = float(np.min(values)), float(np.max(values))
-        return _build_padded(lambda a, b: cls(pot, a, b), lo, hi,
-                             max(hi - lo, 1.0))
-
-    def _build(self, lo, hi):
-        if hi - lo < 1e-6:
-            mid = 0.5 * (lo + hi)
-            lo, hi = mid - 0.5, mid + 0.5
-        self._xs, self._lams, self._vars = self._pot._envelope(lo, hi)
-        self.lo = lo
-        self.hi = hi
+    def _join(self):
+        order = sorted(self._chunks)
+        self._xs, self._lams, self._vars = (np.concatenate(
+            [self._chunks[c][i] for c in order]) for i in range(3))
+        self.lo, self.hi = self._xs[0], self._xs[-1] + ENVELOPE_SPACING
+        # a gap between chunks sends every call through _read
+        gapless = len(order) == order[-1] - order[0] + 1
+        self._last = self._xs[-1] if gapless else -math.inf
+        self._max_curvature = 1.0 / max(float(np.min(self._vars)), 1e-300)
 
     def max_curvature(self):
-        """Upper bound for d(lam*)/dx over the table range (CFL input)."""
-        return float(1.0 / np.min(np.maximum(self._vars, 1e-300)))
+        """max d(lam*)/dx = 1/var over the view's chunks (CFL input)."""
+        return self._max_curvature
+
+    def _read(self, m):
+        """``m`` with failed chunks' values clamped; reads every chunk."""
+        w = self._pot.quadrature.domain_halfwidth
+        # past the window every chunk fails, as the window's edge chunks do
+        k = np.clip(m, -w, w) / ENVELOPE_SPACING
+        owners = np.floor(np.stack([np.floor(k), np.ceil(k)]) / CHUNK_NODES)
+        m = m.copy()
+        for c in np.unique(owners[~np.isnan(owners)]).astype(int).tolist():
+            step = -1 if c >= 0 else 1                  # toward zero
+            for near in range(c, min(step, 0), step):
+                chunk = self._pot._envelope(near)
+                if not isinstance(chunk, Exception):
+                    break
+            else:
+                raise type(chunk)(*chunk.args)
+            self._chunks[near] = chunk
+            if near != c:                               # c failed: clamp
+                if not self.range_escaped:
+                    warnings.warn("envelope slope queried outside the "
+                                  "resolvable range; clamping (run marked "
+                                  "range-escaped)")
+                self.range_escaped = True
+                m[np.any(owners == c, axis=0)] = chunk[0][min(step, 0)]
+        self._join()
+        return m
 
     def __call__(self, m):
         m = np.asarray(m, dtype=float)
-        mn, mx = float(np.min(m)), float(np.max(m))
-        while mn < self.lo or mx > self.hi:
-            try:
-                _build_padded(self._build, min(mn, self.lo),
-                              max(mx, self.hi), 0.5 * (self.hi - self.lo))
-            except (RootNotBracketed, QuadratureDiverged):
-                if not self.range_escaped:
-                    warnings.warn(
-                        "envelope slope queried outside the resolvable "
-                        "range; clamping (run marked range-escaped)")
-                self.range_escaped = True
-                m = np.clip(m, self.lo, self.hi)
-                break
-            mn, mx = float(np.min(m)), float(np.max(m))
+        if not (self.lo <= np.min(m) and np.max(m) <= self._last):
+            m = self._read(m)
         return np.interp(m, self._xs, self._lams)
 
 

@@ -54,12 +54,10 @@ def initial_cost(pot: Potential, m0) -> float:
 
 def _defect(pot: Potential, field: DensityField) -> np.ndarray:
     """g[k] = forward time difference minus the discrete diffusive term."""
-    vals = field.values
-    dt = field.dt
-    dth = field.dtheta
-    hm = EnvelopeTable.padded(pot, vals)(vals[:-1])
+    past = field.values[:-1]
+    hm = EnvelopeTable(pot, np.min(past), np.max(past))(past)
     lap = np.roll(hm, -1, axis=1) - 2.0 * hm + np.roll(hm, 1, axis=1)
-    return (vals[1:] - vals[:-1]) / dt - 0.5 * lap / dth ** 2
+    return (field.values[1:] - past) / field.dt - 0.5 * lap / field.dtheta ** 2
 
 
 def minimal_control(pot: Potential, field: DensityField):

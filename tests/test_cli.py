@@ -324,6 +324,20 @@ def test_unreachable_density_names_the_quadrature_window(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_a_control_past_the_initial_cfl_bound_exits_3(tmp_path, capsys):
+    # the quartic's H' = 1/var grows with |m|; the control carries the
+    # field out of the chunks of m0, past the bound its step was sized for
+    ini = _write(tmp_path, "push.ini",
+                 "[potential]\nname = quartic\n[pde]\nj_cells = 32\n"
+                 "horizon = 0.05\nm0 = sine(0.2)\ncontrol = sine(2.0)\n")
+    assert main(["pde", "--config", ini,
+                 "--output-dir", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: dt=")
+    assert "max H'" in err[0]
+    assert not (tmp_path / "x").exists()
+
+
 # A tiny run of every subcommand; one key at a time is then overwritten.
 _TINY = {
     "run": {"seed": "3", "workers": "2"},

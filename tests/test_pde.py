@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from gllab import (CFLViolation, ControlGrid, EnvelopeTable, NonFiniteField,
                    cfl_time_steps, contraction_gap, control_l2_distance,
-                   minimal_control_embedding, SimpleControl,
-                   solve_controlled_pde, weak_form_residual)
+                   minimal_control_embedding, quartic_potential,
+                   SimpleControl, solve_controlled_pde, weak_form_residual)
 
 
 def _sine(j):
@@ -144,10 +144,9 @@ def test_contraction_certificate_on_one_pair(gaussian):
 
 @pytest.mark.parametrize("amp", [2.5, 5.0])
 def test_solve_covers_a_start_whose_padding_is_unresolvable(gaussian, amp):
-    # the solver and the weak form pad the range (-A, A) to (-3A, 3A);
-    # past about 6.2 the Gaussian's tilted densities leak out of the
-    # quadrature window, so the table falls back to the unpadded range
-    # instead of failing
+    # past 6.25 the Gaussian's tilted densities leak out of the quadrature
+    # window, so any padding of the range (-A, A) would fail at A = 5; the
+    # solver and the weak form read only the chunks of (-A, A) itself
     j, horizon = 32, 0.01
     m0 = amp * _sine(j)
     field = solve_controlled_pde(gaussian, m0, horizon=horizon, j_cells=j)
@@ -161,10 +160,30 @@ def test_solve_covers_a_start_whose_padding_is_unresolvable(gaussian, amp):
 
 
 def test_cfl_steps_of_a_start_whose_padding_is_unresolvable(gaussian):
-    # a constant 5.6 pads to (4.6, 6.6); the Gaussian's slope is x, so the
-    # step count is the same as from any resolvable constant
+    # a constant 5.6 reads one chunk, next to the resolvable edge 6.25; the
+    # Gaussian's slope is x, so the step count is the same as from any
+    # resolvable constant
     steps = cfl_time_steps(gaussian, 0.5 * np.ones(64), 64, 0.1)
     assert cfl_time_steps(gaussian, 5.6 * np.ones(64), 64, 0.1) == steps
+
+
+def test_a_control_into_stiffer_chunks_raises_cfl_violation():
+    # the quartic's H' = 1/var grows with |m|; m0 = 0.2 sin reads the
+    # chunks of [-0.25, 0.25), and its dt is the largest stable there
+    pot = quartic_potential()
+    j, horizon = 32, 0.05
+    m0 = 0.2 * _sine(j)
+    n_steps = cfl_time_steps(pot, m0, j, horizon)
+
+    def push(c):
+        return ControlGrid.from_function(
+            lambda t, th: c * np.sin(2.0 * np.pi * th), n_steps, j, horizon)
+    # a gentle control keeps the field inside m0's chunks ...
+    assert np.max(np.abs(solve_controlled_pde(pot, m0, push(0.5)).values)) \
+        < 0.25
+    # ... a strong one carries it into stiffer ones at m0's dt
+    with pytest.raises(CFLViolation, match="max H'"):
+        solve_controlled_pde(pot, m0, push(2.0))
 
 
 def test_density_field_slices_and_csv(gaussian):
@@ -193,12 +212,10 @@ def test_quartic_solve_stays_bounded(quartic):
 def _roll_reference(pot, m0, u, horizon, n_steps):
     """The explicit scheme stepped one slice at a time with np.roll, as
     solve_controlled_pde wrote it before it stepped in place.  Returns
-    (field values, range_escaped, whether the table was rebuilt)."""
+    (field values, range_escaped, whether the table grew)."""
     m = np.asarray(m0, dtype=float).copy()
     j_cells = m.size
-    lo, hi = float(np.min(m)), float(np.max(m))
-    pad = max(hi - lo, 1.0)
-    table = EnvelopeTable(pot, lo - pad, hi + pad)
+    table = EnvelopeTable(pot, np.min(m), np.max(m))
     first = (table.lo, table.hi)
     dtheta = 1.0 / j_cells
     dt = horizon / n_steps
@@ -224,19 +241,19 @@ def _roll_reference(pot, m0, u, horizon, n_steps):
 def _compare_with_reference(pot, m0, u, horizon, n_steps):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")       # clamped queries warn
-        ref, escaped, rebuilt = _roll_reference(pot, m0, u, horizon,
-                                                n_steps)
+        ref, escaped, grew = _roll_reference(pot, m0, u, horizon,
+                                             n_steps)
         field = solve_controlled_pde(pot, m0, u, horizon=horizon,
                                      j_cells=m0.size, n_steps=n_steps)
     assert np.array_equal(field.values, ref)
     assert field.range_escaped == escaped
-    return rebuilt, escaped
+    return grew, escaped
 
 
 # dt = 0.4 dtheta^2 sits inside the Gaussian's CFL bound (max H' = 1); a
 # control of scale c moves a cell by about 0.4 c dtheta per step, so the
-# larger scales carry the field out of its first table (a mid-solve
-# rebuild) and past the resolvable range (clamping)
+# larger scales carry the field out of its first chunks (a mid-solve
+# growth) and past the resolvable range (clamping)
 @settings(max_examples=30, deadline=None)
 @given(j=st.integers(1, 40), n_steps=st.integers(1, 60),
        mode=st.sampled_from([None, "centered", "left"]),
@@ -261,7 +278,7 @@ def test_in_place_step_matches_reference_through_rebuild_and_clamp(gaussian):
     m0 = 0.5 * np.sin(2.0 * np.pi * theta)
     strong = lambda c: ControlGrid(np.tile(c * np.cos(2.0 * np.pi * theta),
                                            (n_steps, 1)), horizon)
-    # a moderate push leaves the first table's range [-1.5, 1.5] ...
+    # a moderate push leaves the first chunks [-0.5, 0.75) ...
     assert _compare_with_reference(gaussian, m0, strong(8.0), horizon,
                                    n_steps) == (True, False)
     # ... a strong one passes the quadrature window's resolvable range

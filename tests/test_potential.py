@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -270,9 +271,13 @@ def test_family_sampler_matches_per_tilt_sampler(gaussian, rng):
 CAP = potential_mod.BRACKET_CAP
 
 
-def _scalar_bracket_envelope(pot, lo, hi):
-    """``Potential._envelope`` as it was written before ``_bracket``: one
-    scalar doubling loop per end of [lo, hi], no memo."""
+def _scalar_bracket_envelope(pot, c):
+    """``Potential._build_chunk`` with the bracket search written before
+    ``_bracket``: one scalar doubling loop per end of the chunk."""
+    xs = np.arange(c * potential_mod.CHUNK_NODES,
+                   (c + 1) * potential_mod.CHUNK_NODES) \
+        * potential_mod.ENVELOPE_SPACING
+    lo, hi = xs[0], xs[-1]
     lam_hi = 1.0
     while pot._tilted_stats(lam_hi)[1] < hi:
         if lam_hi >= CAP:
@@ -283,9 +288,8 @@ def _scalar_bracket_envelope(pot, lo, hi):
         if lam_lo <= -CAP:
             raise RootNotBracketed(f"mean value {lo:g}")
         lam_lo = max(lam_lo * 2.0, -CAP)
-    lam_grid = np.linspace(lam_lo, lam_hi, potential_mod.ENVELOPE_NODES)
+    lam_grid = np.linspace(lam_lo, lam_hi, potential_mod.CHUNK_NODES)
     fwd_means = pot._tilted_stats(lam_grid)[1]
-    xs = np.linspace(lo, hi, potential_mod.ENVELOPE_NODES)
     lams = np.interp(xs, fwd_means, lam_grid)
     for tail_check in (False, True):
         _, mean, var = pot._tilted_stats(lams, tail_check=tail_check)
@@ -294,9 +298,9 @@ def _scalar_bracket_envelope(pot, lo, hi):
     return xs, lams, var
 
 
-def _vector_bracket_legendre(pot, x):
-    """``Potential.legendre_h_vec`` as it was written before ``_bracket``:
-    two vector doubling loops, then the safeguarded Newton solve."""
+def _vector_bracket(pot, x):
+    """``Potential._bracket`` as ``legendre_h_vec`` wrote it before
+    ``_bracket``: two vector doubling loops."""
     lo = np.full(x.shape, -1.0)
     hi = np.full(x.shape, 1.0)
     for _ in range(32):
@@ -313,22 +317,7 @@ def _vector_bracket_legendre(pot, x):
         if np.all(lo[need] <= -CAP):
             raise RootNotBracketed(f"mean value(s) {x[need & (lo <= -CAP)]}")
         lo = np.where(need, np.maximum(lo * 2.0, -CAP), lo)
-    lam = 0.5 * (lo + hi)
-    tol = 1e-12 * (1.0 + np.abs(x))
-    for _ in range(200):
-        _, mean, var = pot._tilted_stats(lam)
-        f = mean - x
-        if np.all(np.abs(f) <= tol):
-            break
-        lo = np.where(f < 0, lam, lo)
-        hi = np.where(f >= 0, lam, hi)
-        cand = lam - f / np.maximum(var, 1e-300)
-        bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
-        lam = np.where(bad, 0.5 * (lo + hi), cand)
-    else:
-        raise RootNotBracketed("tilt solve did not converge")
-    rho, _, _ = pot._tilted_stats(lam, tail_check=True)
-    return lam * x - rho, lam
+    return lo, hi
 
 
 def _outcome(fn, *args):
@@ -349,21 +338,18 @@ _MEANS = st.floats(-14.0, 14.0, allow_nan=False)
 
 
 @settings(max_examples=15, deadline=None)
-@given(ends=st.lists(_MEANS, min_size=2, max_size=2).map(sorted),
-       xs=st.lists(_MEANS, min_size=1, max_size=6))
-@example(ends=[0.25, 0.25], xs=[0.0])            # a degenerate range
-@example(ends=[0.0, 9.0], xs=[8.0, -0.5])        # leaks past the window
-@example(ends=[-13.0, 0.0], xs=[13.0, 0.0])      # past the tilt cap
-@example(ends=[-20.0, 20.0], xs=[-20.0, 20.0])   # both ends unachievable
-def test_one_bracket_search_matches_the_two_loops_bit_for_bit(ends, xs):
-    lo, hi = ends
+@given(c=st.integers(-56, 56), xs=st.lists(_MEANS, min_size=1, max_size=6))
+@example(c=1, xs=[0.0])
+@example(c=36, xs=[8.0, -0.5])                  # leaks past the window
+@example(c=52, xs=[13.0, 0.0])                  # past the tilt cap
+@example(c=-80, xs=[-20.0, 20.0])               # both ends unachievable
+def test_one_bracket_search_matches_the_two_loops_bit_for_bit(c, xs):
     x = np.asarray(xs)
     for pot in _BRACKET_POTENTIALS:
-        pot._envelopes.clear()
-        assert _outcome(pot._envelope, lo, hi) == \
-            _outcome(_scalar_bracket_envelope, pot, lo, hi)
-        assert _outcome(pot.legendre_h_vec, x) == \
-            _outcome(_vector_bracket_legendre, pot, x)
+        assert _outcome(pot._build_chunk, c) == \
+            _outcome(_scalar_bracket_envelope, pot, c)
+        assert _outcome(pot._bracket, x) == \
+            _outcome(_vector_bracket, pot, x)
 
 
 def test_envelope_table_matches_newton_solve(gaussian, quartic):
@@ -380,7 +366,7 @@ def test_envelope_table_matches_newton_solve(gaussian, quartic):
 
 def test_envelope_table_grows_its_range(gaussian):
     table = EnvelopeTable(gaussian, -0.5, 0.5)
-    out = table(np.asarray([2.5]))     # escapes, triggers a rebuild
+    out = table(np.asarray([2.5]))     # escapes, reads one more chunk
     assert out[0] == pytest.approx(2.5, abs=1e-8)
     assert table.hi >= 2.5
     assert not table.range_escaped
@@ -394,8 +380,9 @@ def test_envelope_table_clamps_when_unresolvable(gaussian):
 
 
 def test_envelope_table_tail_checks_its_build(gaussian):
-    # lambda*(x) = x for the Gaussian; past x of about 6.2 the tilted
-    # density leaks more than TAIL_BUDGET over the +12 edge
+    # lambda*(x) = x for the Gaussian; past x of about 6.3 the tilted
+    # density leaks more than TAIL_BUDGET over the +12 edge, so chunk
+    # [6.25, 6.5) fails and 6.25 is the resolvable edge
     with pytest.raises(QuadratureDiverged):
         EnvelopeTable(gaussian, 0.0, 9.0)
     table = EnvelopeTable(gaussian, -0.5, 0.5)
@@ -404,25 +391,57 @@ def test_envelope_table_tail_checks_its_build(gaussian):
     with pytest.warns(UserWarning):
         table(np.asarray([8.0]))
     assert table.range_escaped
-    assert table.hi < 5.3
+    assert table.hi == 6.25
 
 
-def test_envelope_table_drops_unresolvable_padding(gaussian):
-    # growing (-4.5, 4.5) to 4.6 pads to about (-9.1, 9.1), past what the
-    # Gaussian's quadrature resolves; the table grows to 4.6 alone
-    table = EnvelopeTable(gaussian, -4.5, 4.5)
+def test_envelope_view_reads_only_the_chunks_of_its_values(gaussian):
+    # a view's extent is whole quarter-unit chunks; growing to 4.6 reads
+    # chunk [4.5, 4.75) alone, and a clamp reads only its target's chunk
+    table = EnvelopeTable(gaussian, -4.5, 4.4)
+    assert (table.lo, table.hi) == (-4.5, 4.5)
     assert table(np.asarray([4.6]))[0] == pytest.approx(4.6, abs=1e-8)
-    assert (table.lo, table.hi) == (-4.5, 4.6)
+    assert (table.lo, table.hi) == (-4.5, 4.75)
     assert not table.range_escaped
-    # the range of the values is padded by max(hi - lo, 1) on each side
-    padded = EnvelopeTable.padded(gaussian, np.asarray([0.5, -0.5, 0.0]))
-    assert (padded.lo, padded.hi) == (-1.5, 1.5)
-    padded = EnvelopeTable.padded(gaussian, np.asarray([[1.0], [-1.0]]))
-    assert (padded.lo, padded.hi) == (-3.0, 3.0)
-    fallback = EnvelopeTable.padded(gaussian, np.asarray([-2.5, 2.5]))
-    assert (fallback.lo, fallback.hi) == (-2.5, 2.5)
+    with pytest.warns(UserWarning):
+        table(np.asarray([6.3]))
+    assert set(table._chunks) == set(range(-18, 19)) | {24}
+    # a value in the gap reads its own chunk
+    assert table(np.asarray([5.6]))[0] == pytest.approx(5.6, abs=1e-8)
+    assert set(table._chunks) == set(range(-18, 19)) | {22, 24}
     with pytest.raises(QuadratureDiverged):
-        EnvelopeTable.padded(gaussian, np.asarray([0.0, 9.0]))
+        EnvelopeTable(gaussian, 0.0, 6.3)
+
+
+def test_a_failed_chunk_clamps_only_its_own_values(gaussian):
+    table = EnvelopeTable(gaussian, -0.5, 0.5)
+    with pytest.warns(UserWarning):
+        out = table(np.asarray([3.0, 8.0]))
+    assert out[0] == pytest.approx(3.0, abs=1e-8)
+    # 8 is clamped to the last node below the resolvable edge 6.25
+    edge = 6.25 - potential_mod.ENVELOPE_SPACING
+    assert out[1] == pytest.approx(gaussian.legendre_h(edge)[1], abs=1e-9)
+    assert table.range_escaped
+
+
+def _counting_builds(pot):
+    """Chunk indices ``pot`` builds from now on, in order."""
+    builds = []
+    build = pot._build_chunk
+    pot._build_chunk = lambda c: builds.append(c) or build(c)
+    return builds
+
+
+def test_a_creeping_field_builds_each_chunk_once():
+    pot = gaussian_potential()
+    builds = _counting_builds(pot)
+    table = EnvelopeTable(pot, 4.55, 4.55)
+    for x in np.linspace(4.55, 5.0, 10):
+        assert table(np.asarray([x]))[0] == pytest.approx(x, abs=1e-8)
+    assert builds == [18, 19, 20]      # the chunks of [4.5, 5.25)
+    with pytest.warns(UserWarning):
+        for _ in range(3):
+            table(np.asarray([6.3, 6.4]))
+    assert builds == [18, 19, 20, 25, 24]    # a failed chunk is not rebuilt
 
 
 def _table_bytes(table):
@@ -434,35 +453,39 @@ def _table_bytes(table):
 def test_envelope_memo_hit_equals_fresh_build(make):
     pot = make()
     first = EnvelopeTable(pot, -1.3, 1.7)
-    again = EnvelopeTable(pot, -1.3, 1.7)          # exact-range hit
-    assert again._lams is first._lams
-    sibling = EnvelopeTable(pot, -1.5, 1.6)       # new range: a build
-    assert len(pot._envelopes) == 2
-    for table in (first, again, sibling):
-        fresh = EnvelopeTable(make(), table.lo, table.hi)
-        assert _table_bytes(table) == _table_bytes(fresh)
-        for arr in (table._xs, table._lams, table._vars):
+    again = EnvelopeTable(pot, -1.3, 1.7)          # every chunk a memo hit
+    assert all(again._chunks[c] is first._chunks[c] for c in first._chunks)
+    EnvelopeTable(pot, -1.5, 2.6)                 # four more chunks
+    assert set(pot._chunks) == set(range(-6, 11))
+    fresh = make()
+    for c, chunk in pot._chunks.items():
+        assert np.array_equal(np.asarray(chunk),
+                              np.asarray(fresh._build_chunk(c)))
+        for arr in chunk:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
-    # the widened degenerate range is the key, and each table keeps its
-    # own range and flag
-    point = EnvelopeTable(pot, 0.25, 0.25)
-    assert (point.lo, point.hi) == (-0.25, 0.75)
-    assert (-0.25, 0.75) in pot._envelopes
+    # each view keeps its own flag
     with pytest.warns(UserWarning):
         first(np.asarray([500.0]))
     assert first.range_escaped and not again.range_escaped
 
 
 def test_envelope_memo_keeps_no_failed_build():
+    # a failed chunk is remembered as its error, with no arrays and no
+    # frames of its build, and raises again without a second build; chunk
+    # 2000 lies past the quadrature window and is not remembered at all
     pot = gaussian_potential()
+    builds = _counting_builds(pot)
     for _ in range(2):
         with pytest.raises(QuadratureDiverged):
             EnvelopeTable(pot, 0.0, 9.0)
         with pytest.raises(RootNotBracketed):
             EnvelopeTable(pot, 0.0, 500.0)
-    assert pot._envelopes == {}
+    assert builds == [0, 36, 2000, 2000]
+    failed = pot._chunks[36]
+    assert isinstance(failed, QuadratureDiverged)
+    assert failed.__traceback__ is None
 
 
 def test_threads_building_one_range_agree():
@@ -483,7 +506,7 @@ def test_threads_building_one_range_agree():
     fresh = EnvelopeTable(gaussian_potential(), -0.7, 2.1)
     assert _table_bytes(tables[0]) == _table_bytes(fresh)
     assert _table_bytes(tables[1]) == _table_bytes(fresh)
-    assert list(pot._envelopes) == [(-0.7, 2.1)]
+    assert set(pot._chunks) == set(range(-3, 9))
 
 
 def test_caches_are_bounded(monkeypatch):
@@ -495,9 +518,13 @@ def test_caches_are_bounded(monkeypatch):
                                       for l in lams[-4:]]
     for lam, cdf in zip(lams, cdfs):            # an evicted CDF comes back
         assert np.array_equal(pot._tilt_cdf(lam), cdf)
-    for k in range(6):
-        EnvelopeTable(pot, -0.5 - 0.5 * k, 0.5)
-    assert len(pot._envelopes) == 4
+    # the envelope memo keeps only the 97 quarter-unit chunks that start
+    # inside the quadrature window [-12, 12], however far values reach
+    with pytest.warns(UserWarning):
+        EnvelopeTable(pot, 0.0, 0.0)(np.linspace(-600.0, 600.0, 4801))
+    with pytest.raises(RootNotBracketed):
+        EnvelopeTable(pot, 0.0, 40.0)
+    assert set(pot._chunks) == set(range(-48, 49))
 
     # more threads than cores inserting and evicting the same keys, with
     # frequent thread switches: no insert fails, the cap holds, and every
@@ -525,6 +552,78 @@ def test_caches_are_bounded(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert errors == [] and len(pot._tilt_tables) == 4
     assert all(key == value for key, value in pot._tilt_tables.items())
+
+
+# answers past each potential's resolvable edge (6.25 and 3.75 at the
+# default window) are clamped; the coarse grid keeps the fresh builds cheap
+_EDGES = {"gaussian": 6.25, "quartic": 3.75}
+_SHARED = {name: gllab.make_potential(name, _COARSE) for name in _EDGES}
+
+
+def _ask(pot, values):
+    """Answers of a new view on ``pot`` to one call, and its flag."""
+    table = EnvelopeTable(pot, 0.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")        # clamped queries warn
+        return table(np.asarray(values, dtype=float)), table.range_escaped
+
+
+def _alone(name, x):
+    """The bits of a fresh potential's answer at x, and its flag."""
+    out, escaped = _ask(gllab.make_potential(name, _COARSE), [x])
+    return out[0].tobytes(), escaped
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.floats(-1.2, 1.2), min_size=1, max_size=5))
+@example([1.1, 0.3, -1.15, 0.999])
+def test_envelope_answers_do_not_depend_on_call_order(scales):
+    # the shared potentials carry every earlier example's chunks
+    for name, edge in _EDGES.items():
+        pot = _SHARED[name]
+        values = np.asarray(scales) * edge
+        alone = [_alone(name, x) for x in values]
+        together, escaped = _ask(pot, values)
+        assert [v.tobytes() for v in together] == [a for a, _ in alone]
+        assert escaped == any(e for _, e in alone)
+        for x, expected in zip(values, alone):
+            out, escaped = _ask(pot, [x])
+            assert (out[0].tobytes(), escaped) == expected
+
+
+def test_envelope_answers_agree_across_two_threads():
+    values = np.linspace(-1.2, 1.2, 17) * _EDGES["gaussian"]
+    pot = gllab.make_potential("gaussian", _COARSE)
+    barrier = threading.Barrier(2)
+    answers = [None, None]
+
+    def ask(i):
+        barrier.wait(timeout=60)
+        order = values if i == 0 else values[::-1]
+        got = {x: _ask(pot, [x]) for x in order}
+        answers[i] = [(got[x][0][0].tobytes(), got[x][1]) for x in values]
+
+    threads = [threading.Thread(target=ask, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    alone = [_alone("gaussian", x) for x in values]
+    assert answers[0] == alone and answers[1] == alone
+
+
+def test_quartic_legendre_stops_stepping_converged_entries():
+    pot = quartic_potential()
+    stats = pot._tilted_stats
+    passes = []
+    pot._tilted_stats = lambda lam, tail_check=False: (
+        passes.append(tail_check) or stats(lam, tail_check))
+    x = np.linspace(-0.5, 0.5, 513)
+    _, lam = pot.legendre_h_vec(x)
+    # 49 passes when converged entries kept taking Newton steps
+    assert len(passes) <= 12
+    assert np.all(np.abs(stats(lam)[1] - x) <= 1e-12 * (1.0 + np.abs(x)))
 
 
 def test_max_curvature_gaussian_is_one(gaussian):

@@ -79,9 +79,9 @@ def test_unattainable_initial_slice_is_infeasible(gaussian):
 
 
 def test_rate_of_a_path_whose_padding_is_unresolvable(gaussian):
-    # the defect's table pads the field's range (-6, 6) by 1, past
-    # what the Gaussian's quadrature resolves, and falls back to the
-    # range itself; the Gaussian's equation is linear, so both costs
+    # any padding of the field's range (-6, 6) would pass what the
+    # Gaussian's quadrature resolves; the defect reads only the chunks of
+    # the range itself.  The Gaussian's equation is linear, so both costs
     # scale with the square of the amplitude
     small = rate(gaussian, sine_target_field(0.5, 0.05, 32, 200))
     large = rate(gaussian, sine_target_field(3.0, 0.05, 32, 200))
@@ -136,13 +136,13 @@ def test_csv_row_shape():
 
 def _defect_by_rows(pot, field):
     """The defect one time slice at a time, as ``_defect`` computed it
-    before it made one table lookup over the whole field."""
+    before it made one table lookup over the whole field; each slice reads
+    the envelope through a view of its own range."""
     vals = field.values
     dt, dth = field.dt, field.dtheta
-    table = EnvelopeTable.padded(pot, vals)
     g = np.empty((field.n_steps, field.j_cells))
     for k in range(field.n_steps):
-        hm = table(vals[k])
+        hm = EnvelopeTable(pot, np.min(vals[k]), np.max(vals[k]))(vals[k])
         lap = np.roll(hm, -1) - 2.0 * hm + np.roll(hm, 1)
         g[k] = (vals[k + 1] - vals[k]) / dt - 0.5 * lap / dth ** 2
     return g
@@ -154,7 +154,6 @@ def _defect_by_rows(pot, field):
 def test_vectorised_defect_matches_rows(gaussian, quartic, j, n_steps, seed):
     rng = np.random.default_rng(seed)
     vals = rng.uniform(-1.5, 1.5, (n_steps + 1, j))
-    vals.flat[:2] = -1.5, 1.5       # one table range, memoized after once
     field = DensityField(vals, horizon=rng.uniform(0.01, 1.0))
     for pot in (gaussian, quartic):
         assert np.array_equal(_defect(pot, field),
@@ -174,14 +173,14 @@ def test_vectorised_defect_matches_rows_on_a_solved_path(gaussian):
 
 
 def test_rate_of_a_solved_path_reuses_the_solver_table():
-    # the heat flow keeps the field inside m0's range, so the solver and
-    # the rate defect pad the same range and share one memoized table
+    # the heat flow keeps the field inside m0's range, so the rate defect
+    # reads only chunks of the potential's table that the solver built
     pot = gaussian_potential()
     j = 32
     m0 = 0.9 * np.cos(2.0 * np.pi * _grid(j)) + 0.4
     field = solve_controlled_pde(pot, m0, horizon=0.02, j_cells=j)
-    built = list(pot._envelopes)
-    assert len(built) == 1
+    built = set(pot._chunks)
+    assert built == set(range(-2, 6))       # [-0.5, 1.3] in quarter units
     dec = rate(pot, field)
     assert dec.feasible
-    assert list(pot._envelopes) == built
+    assert set(pot._chunks) == built
