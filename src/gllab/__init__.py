@@ -13,16 +13,16 @@ from .errors import (CFLViolation, ConfigInvalid, DegenerateEstimate,
 from .measures import (AtomicSignedMeasure, MeasurePath, bl_distance, d_star,
                        density_to_atoms, from_state, measure_path_to_csv,
                        path_from_density_slices, path_from_record)
-from .particles import (LatticeState, ProfileMeasure, ReplicaBatch, SimConfig,
-                        SimpleControl, TrajectoryRecord,
+from .particles import (ControlGrid, LatticeState, ProfileMeasure,
+                        ReplicaBatch, SimConfig, TrajectoryRecord,
                         deterministic_profile, entropy_cost_of_profile,
                         equilibrium_profile, sample_initial_from_profile,
                         sample_initial_matrix, simulate_replicas,
                         simulate_trajectory, stable_dt, tilted_constant_profile,
                         tilted_profile, tilted_sine_profile)
-from .pde import (ControlGrid, DensityField, cfl_time_steps, contraction_gap,
-                  control_l2_distance, minimal_control_embedding,
-                  solve_controlled_pde, weak_form_residual)
+from .pde import (DensityField, cfl_time_steps, contraction_gap,
+                  control_l2_distance, solve_controlled_pde,
+                  weak_form_residual)
 from .potential import (EnvelopeTable, Potential, QuadratureSpec,
                         TiltedFamilySampler, gaussian_potential,
                         make_potential, quartic_potential)

@@ -34,10 +34,10 @@ import numpy as np
 
 from . import __version__, particles
 from .errors import ConfigInvalid, GLLabError
-from .particles import (SimConfig, SimpleControl, deterministic_profile,
+from .particles import (ControlGrid, SimConfig, deterministic_profile,
                         equilibrium_profile, simulate_replicas, stable_dt,
                         tilted_sine_profile)
-from .pde import ControlGrid, cfl_time_steps, solve_controlled_pde
+from .pde import cfl_time_steps, solve_controlled_pde
 from .potential import make_potential
 from .rare_events import (ExperimentReport, Functional, TrendRow,
                           STEERING_CELLS, ldp_trend_study, steering_steps)
@@ -296,8 +296,8 @@ def cmd_simulate(pot, cfg, out: Path):
     profile = s.profile(pot)
     control = None
     if s.control is not None:
-        control = SimpleControl.from_function(
-            lambda t, th: s.control(th), s.n_sites, s.horizon, n_pieces=1)
+        control = ControlGrid.from_function(
+            lambda t, th: s.control(th), 1, s.n_sites, s.horizon)
     sample_times = np.linspace(0.0, s.horizon, s.snapshots)
 
     # replica r draws only from the r-th child stream, so its file is what

@@ -93,69 +93,72 @@ def stable_dt(pot: Potential, n_sites: int) -> float:
             / n_sites ** 2)
 
 
-@dataclass(frozen=True)
-class SimpleControl:
-    """Piecewise-constant-in-time per-site control.
+@dataclass
+class ControlGrid:
+    """Space-time control u(t, theta) on a uniform grid.
 
-    ``values[j, i]`` applies to site i+1 on the interval
-    (breakpoints[j], breakpoints[j+1]].  All entries are bounded by
-    ``bound`` (validated here); this is the class of controls the
-    variational experiments optimize over.
+    values[k, j] is the control on time slice k, [t_k, t_{k+1}) with
+    t_k = k T/K, at theta = j/J.  This is the one control type: the
+    particle engine needs J = N and gives site i the column at i/N (site
+    N takes column 0), and the PDE solver gives cell j column j.  The
+    squared L2 norm over [0, T] x S is cached at construction.
     """
 
-    breakpoints: np.ndarray
     values: np.ndarray
-    bound: float
+    horizon: float
 
     def __post_init__(self):
-        object.__setattr__(self, "breakpoints",
-                           np.asarray(self.breakpoints, dtype=float))
-        object.__setattr__(self, "values",
-                           np.asarray(self.values, dtype=float))
-        if self.breakpoints.ndim != 1 or self.breakpoints.size < 2:
-            raise ValueError("need at least two breakpoints")
-        if np.any(np.diff(self.breakpoints) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
-        if self.values.shape[0] != self.breakpoints.size - 1:
-            raise ValueError("values must have one row per interval")
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.ndim != 2:
+            raise ValueError("control values must be a (K, J) array")
+        if not (self.horizon > 0):
+            raise ValueError("horizon must be positive")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("control values must be finite")
-        if float(np.max(np.abs(self.values), initial=0.0)) > self.bound + 1e-12:
-            raise ValueError("control values exceed the declared bound")
+        self.l2_norm_sq = float(
+            np.sum(self.values ** 2) * self.dt * self.dtheta)
 
     @property
-    def n_sites(self) -> int:
+    def n_steps(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def j_cells(self) -> int:
         return self.values.shape[1]
 
-    def values_at(self, t: float) -> np.ndarray:
-        """Control row active just after time t (right limit)."""
-        j = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        j = min(max(j, 0), self.values.shape[0] - 1)
-        return self.values[j]
+    @property
+    def dt(self) -> float:
+        return self.horizon / self.n_steps
+
+    @property
+    def dtheta(self) -> float:
+        return 1.0 / self.j_cells
 
     @classmethod
-    def constant(cls, value, n_sites: int,
-                 horizon: float) -> "SimpleControl":
-        row = np.broadcast_to(np.asarray(value, dtype=float),
-                              (n_sites,)).copy()
-        return cls(np.asarray([0.0, horizon]), row[None, :],
-                   float(np.max(np.abs(row))))
+    def from_function(cls, u: Callable, n_steps: int, j_cells: int,
+                      horizon: float) -> "ControlGrid":
+        """Sample u(t, theta) at the slice starts t_k and positions j/J:
+        the one way a function becomes a control."""
+        times = np.arange(n_steps) * (horizon / n_steps)
+        theta = np.arange(j_cells) / j_cells
+        vals = np.stack([np.asarray(u(t, theta), dtype=float) for t in times])
+        return cls(vals, horizon)
 
-    @classmethod
-    def from_function(cls, u: Callable, n_sites: int, horizon: float,
-                      n_pieces: int | None = None) -> "SimpleControl":
-        """Sample u(t, theta) at piece starts and site positions i/N.
+    def lookup(self, t: float, theta) -> np.ndarray:
+        """Grid value at time t and positions theta: the slice whose left
+        endpoint is the last one at or before t, and the nearest cell
+        node (theta = 1 wraps to cell 0)."""
+        kdx = min(int(t / self.dt + 1e-9), self.n_steps - 1)
+        jdx = np.round(np.asarray(theta) * self.j_cells).astype(int) \
+            % self.j_cells
+        return self.values[kdx, jdx]
 
-        This is the canonical embedding of a space-time control field into
-        the simple-control class: piece j holds u(j*T/K, i/N).  The bound
-        is the largest sampled magnitude.
-        """
-        k = n_pieces if n_pieces is not None else n_sites
-        bp = np.linspace(0.0, horizon, k + 1)
-        theta = np.arange(1, n_sites + 1) / n_sites
-        vals = np.stack([np.asarray(u(bp[j], theta), dtype=float)
-                         for j in range(k)])
-        return cls(bp, vals, float(np.max(np.abs(vals))) + 1e-12)
+    def face_values(self, k) -> np.ndarray:
+        """Right-face value for each cell on time slice k (an index or a
+        slice of time slices): the average of the two neighbouring
+        cells."""
+        row = self.values[k]
+        return 0.5 * (row + np.roll(row, -1, axis=-1))
 
 
 def write_csv(fh, header: Sequence[str], rows):
@@ -200,7 +203,7 @@ NOISE_BLOCK_BYTES = 1 << 20
 
 
 def _run(pot: Potential, config: SimConfig, charges: np.ndarray,
-         control: SimpleControl | None, sample_times: Sequence[float] | None,
+         control: ControlGrid | None, sample_times: Sequence[float] | None,
          rng, pairing_functions: Sequence[Callable] = (),
          record_states: bool = False) -> ReplicaBatch:
     """March an (M, N) charge array over the horizon: the one stepping loop.
@@ -220,13 +223,26 @@ def _run(pot: Potential, config: SimConfig, charges: np.ndarray,
     pairings with ``pairing_functions`` (at site positions i/N), the
     running Girsanov log weights and costs, and optionally the states are
     recorded.  Weights and costs stay zero without a control.
+
+    A control has one column per site and the run's horizon.  Step k
+    takes the slice of the last breakpoint of linspace(0, T, K + 1) at or
+    before k dt, so a step time a rounding error below a breakpoint keeps
+    the earlier slice.
     """
     config.validate_stability(pot)
     m, n = charges.shape
     if n != config.n_sites:
         raise ValueError("initial state size does not match config")
-    if control is not None and control.n_sites != n:
-        raise ValueError("control width does not match config")
+    # the control's next breakpoint: its piece terms are set once per piece
+    switch = math.inf
+    if control is not None:
+        if (control.j_cells, control.horizon) != (n, config.horizon):
+            raise ValueError("control grid does not match config")
+        # grid column j sits at theta = j/N and engine column i is site
+        # i + 1, so row r of ``rows`` is slice r with site N's column last
+        rows = np.roll(control.values, -1, axis=1)
+        breakpoints = np.linspace(0.0, control.horizon, control.n_steps + 1)
+        switch = -math.inf
     n_steps = config.n_steps()
     dt = config.horizon / n_steps
     sqdt = math.sqrt(dt)
@@ -265,8 +281,6 @@ def _run(pot: Potential, config: SimConfig, charges: np.ndarray,
             return out
     outs = (blocks[c % 2][:min(k_block, n_steps - start)]
             for c, start in enumerate(range(0, n_steps, k_block)))
-    # the control's next breakpoint: its piece terms are set once per piece
-    switch = -math.inf if control is not None else math.inf
 
     def record(step_index):
         for pos in lookup.get(step_index, ()):
@@ -288,12 +302,12 @@ def _run(pot: Potential, config: SimConfig, charges: np.ndarray,
                        else helper.submit(fill, out=out))
             for noise in block:
                 if k * dt >= switch:
-                    psi = control.values_at(k * dt)
+                    i = int(np.searchsorted(breakpoints, k * dt, "right"))
+                    psi = rows[min(i, len(rows)) - 1]
                     psi_dt, psi_sqdt = psi * dt, psi * sqdt
                     dcost = 0.5 * np.sum(psi ** 2) * dt
-                    i = np.searchsorted(control.breakpoints, k * dt, "right")
-                    switch = control.breakpoints[i] \
-                        if i < control.breakpoints.size else math.inf
+                    switch = breakpoints[i] \
+                        if i < breakpoints.size else math.inf
                 # dz = ((N*N/2) * (fp[i-1] - fp[i])) * dt + N * (sqrt(dt)
                 # * noise + psi*dt); x = (x + dz) - dz[i+1], in this order
                 fp = np.asarray(pot.phi_prime(x), dtype=float)
@@ -363,7 +377,7 @@ class TrajectoryRecord:
 
 def simulate_trajectory(pot: Potential, config: SimConfig,
                         initial: LatticeState,
-                        control: SimpleControl | None = None,
+                        control: ControlGrid | None = None,
                         sample_times: Sequence[float] | None = None,
                         rng: np.random.Generator | None = None
                         ) -> TrajectoryRecord:
@@ -390,14 +404,13 @@ class ProfileMeasure:
     """Position-dependent single-site law for initial conditions.
 
     ``conditional_sampler(theta, rng)`` draws one charge per entry of the
-    position array theta; ``conditional_mean`` and ``entropy_density``
-    give the mean and the relative entropy against the reference density
-    at each position.  Site i realizes the cell average over
-    ((i-1)/N, i/N] exactly, by drawing theta uniformly in the cell first.
+    position array theta; ``entropy_density`` gives the relative entropy
+    against the reference density at each position.  Site i realizes the
+    cell average over ((i-1)/N, i/N] exactly, by drawing theta uniformly
+    in the cell first.
     """
 
     conditional_sampler: Callable
-    conditional_mean: Callable
     entropy_density: Callable
     description: str = ""
 
@@ -405,13 +418,10 @@ class ProfileMeasure:
 def equilibrium_profile(pot: Potential) -> ProfileMeasure:
     """Every site starts from the reference density itself."""
     sampler = TiltedFamilySampler(pot, 0.0, 0.0)
-    _, mean0, _ = pot._tilted_stats(0.0)
 
     return ProfileMeasure(
         conditional_sampler=lambda theta, rng: sampler.sample(
             np.zeros_like(np.asarray(theta, dtype=float)), rng),
-        conditional_mean=lambda theta: np.full_like(
-            np.asarray(theta, dtype=float), mean0),
         entropy_density=lambda theta: np.zeros_like(
             np.asarray(theta, dtype=float)),
         description="equilibrium",
@@ -441,7 +451,6 @@ def tilted_profile(pot: Potential, mean_fn: Callable,
     return ProfileMeasure(
         conditional_sampler=lambda theta, rng: sampler.sample(
             lam_of_theta(np.asarray(theta, dtype=float)), rng),
-        conditional_mean=lambda theta: np.asarray(mean_fn(theta), dtype=float),
         entropy_density=lambda theta: np.interp(
             np.asarray(mean_fn(theta), dtype=float), grid, h_grid),
         description=description,
@@ -466,7 +475,6 @@ def deterministic_profile(mean_fn: Callable,
     return ProfileMeasure(
         conditional_sampler=lambda theta, rng: np.asarray(
             mean_fn(theta), dtype=float),
-        conditional_mean=lambda theta: np.asarray(mean_fn(theta), dtype=float),
         entropy_density=lambda theta: np.full_like(
             np.asarray(theta, dtype=float), np.inf),
         description=description,
@@ -518,7 +526,7 @@ def entropy_cost_of_profile(profile: ProfileMeasure, n_sites: int) -> float:
 def simulate_replicas(pot: Potential, config: SimConfig,
                       profile: ProfileMeasure,
                       n_replicas: int,
-                      control: SimpleControl | None = None,
+                      control: ControlGrid | None = None,
                       sample_times: Sequence[float] | None = None,
                       pairing_functions: Sequence[Callable] = (),
                       record_states: bool = False,

@@ -7,12 +7,12 @@ uniform nodes theta_j = j/J, the diffusive term is the standard 3-point
 flux difference of H(m), and the control enters through face values.
 Both terms telescope, so cell-average mass is conserved to round-off.
 
-Face values of the control are the average of the two neighboring cells;
-piecewise-constant controls embedded from the particle system use the
-left cell's value instead so the embedding is exact.  Stability needs
-dt <= dtheta^2 / max H'(m), H' = 1/var over the envelope chunks the field
-reads: the initial density's (the scheme is then monotone) and, under a
-control, each chunk it gains later.  A violation raises CFLViolation.
+The control is a ``ControlGrid``, the type the particle engine takes
+too; its face values are the average of the two neighboring cells.
+Stability needs dt <= dtheta^2 / max H'(m), H' = 1/var over the envelope
+chunks the field reads: the initial density's (the scheme is then
+monotone) and, under a control, each chunk it gains later.  A violation
+raises CFLViolation.
 
 The solver steps in place: the control flux of every time slice is
 computed before the loop, and each step writes the 3-point Laplacian into
@@ -25,88 +25,16 @@ then m + diff*lap, then minus the flux) of the step written with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import CFLViolation, NonFiniteField
 from .potential import EnvelopeTable, Potential
-from .particles import SimpleControl, write_csv
+from .particles import ControlGrid, write_csv
 
 CFL_SAFETY = 0.5
-
-
-@dataclass
-class ControlGrid:
-    """Space-time control sampled on the solver grid.
-
-    values[k, j] is the control on time slice k (left endpoint t_k) and
-    cell j.  The squared L2 norm over [0, T] x S is cached at
-    construction.
-    """
-
-    values: np.ndarray
-    horizon: float
-    face_mode: str = "centered"     # "centered" | "left"
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2:
-            raise ValueError("control values must be a (K, J) array")
-        if not (self.horizon > 0):
-            raise ValueError("horizon must be positive")
-        if self.face_mode not in ("centered", "left"):
-            raise ValueError("face_mode must be 'centered' or 'left'")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("control values must be finite")
-        self.l2_norm_sq = float(
-            np.sum(self.values ** 2) * self.dt * self.dtheta)
-
-    @property
-    def n_steps(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def j_cells(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def dt(self) -> float:
-        return self.horizon / self.n_steps
-
-    @property
-    def dtheta(self) -> float:
-        return 1.0 / self.j_cells
-
-    @classmethod
-    def zeros(cls, n_steps: int, j_cells: int, horizon: float) -> "ControlGrid":
-        return cls(np.zeros((n_steps, j_cells)), horizon)
-
-    @classmethod
-    def from_function(cls, u: Callable, n_steps: int, j_cells: int,
-                      horizon: float) -> "ControlGrid":
-        times = np.arange(n_steps) * (horizon / n_steps)
-        theta = np.arange(j_cells) / j_cells
-        vals = np.stack([np.asarray(u(t, theta), dtype=float) for t in times])
-        return cls(vals, horizon)
-
-    def lookup(self, t: float, theta) -> np.ndarray:
-        """Grid value at time t and positions theta: the slice whose left
-        endpoint is the last one at or before t, and the nearest cell
-        node (theta = 1 wraps to cell 0)."""
-        kdx = min(int(t / self.dt + 1e-9), self.n_steps - 1)
-        jdx = np.round(np.asarray(theta) * self.j_cells).astype(int) \
-            % self.j_cells
-        return self.values[kdx, jdx]
-
-    def face_values(self, k) -> np.ndarray:
-        """Right-face value for each cell on time slice k (an index or a
-        slice of time slices)."""
-        row = self.values[k]
-        if self.face_mode == "left":
-            return row
-        return 0.5 * (row + np.roll(row, -1, axis=-1))
 
 
 @dataclass
@@ -280,23 +208,6 @@ def weak_form_residual(pot: Potential, field: DensityField,
         if u is not None:
             advective = np.sum(u.values[:k_end] * jp) * dtheta * dt
     return float(abs(boundary - 0.5 * diffusive - advective))
-
-
-def minimal_control_embedding(control: SimpleControl, j_cells: int,
-                              n_steps: int, horizon: float) -> ControlGrid:
-    """Embed a per-site simple control as a piecewise-constant field.
-
-    Cell j takes the value of the site whose cell ((i-1)/N, i/N] contains
-    theta_j; faces use the left cell.  When J is a multiple of N and the
-    time slicing refines the control pieces, the grid L2 norm equals the
-    per-site average of the time integrals exactly.
-    """
-    n = control.n_sites
-    theta = np.arange(j_cells) / j_cells
-    site = (np.ceil(theta * n).astype(int) - 1) % n
-    dt = horizon / n_steps
-    vals = np.stack([control.values_at(k * dt)[site] for k in range(n_steps)])
-    return ControlGrid(vals, horizon, face_mode="left")
 
 
 def control_l2_distance(u1: ControlGrid, u2: ControlGrid) -> float:

@@ -3,7 +3,7 @@ and variational upper bounds for the lattice diffusion.
 
 The central identity is the control representation of exponential
 integrals: -(1/N) log E[exp(-N F)] over the equilibrium ensemble equals
-the infimum, over initial profiles and simple controls, of
+the infimum, over initial profiles and controls, of
 
     per-site initial entropy + E[ control cost + F(controlled field) ].
 
@@ -25,11 +25,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateEstimate
-from .particles import (ProfileMeasure, ReplicaBatch, SimConfig,
-                        SimpleControl, entropy_cost_of_profile,
+from .particles import (ControlGrid, ProfileMeasure, ReplicaBatch,
+                        SimConfig, entropy_cost_of_profile,
                         equilibrium_profile, simulate_replicas, stable_dt,
                         tilted_profile)
-from .pde import ControlGrid, DensityField, cfl_time_steps
+from .pde import DensityField, cfl_time_steps
 from .potential import Potential
 from .rate import rate
 
@@ -146,7 +146,7 @@ def laplace_functional_mc(pot: Potential, functional: Functional,
 
 
 def importance_sampled_expectation(pot: Potential, functional: Functional,
-                                   control: SimpleControl,
+                                   control: ControlGrid,
                                    config: SimConfig,
                                    profile: ProfileMeasure,
                                    n_replicas: int,
@@ -179,7 +179,7 @@ def plain_expectation(pot: Potential, functional: Functional,
 
 
 def variational_upper_bound(pot: Potential, functional: Functional,
-                            control: SimpleControl | None,
+                            control: ControlGrid | None,
                             profile: ProfileMeasure, config: SimConfig,
                             n_replicas: int,
                             rng: np.random.Generator | None = None
@@ -302,8 +302,8 @@ def ldp_trend_study(pot: Potential, functional: Functional,
     """Laplace estimates vs. best variational bounds across system sizes.
 
     For each N the control family consists of the minimal controls of the
-    steering paths for each target (embedded as simple controls with N
-    pieces), paired with the matching tilted profiles.  The limit column
+    steering paths for each target (sampled onto N slices and N sites),
+    paired with the matching tilted profiles.  The limit column
     is the smallest F + rate over the same targets, which makes it an
     upper estimate of the infimum.  Individual estimator reports are
     appended to ``report_sink`` when one is supplied.
@@ -325,9 +325,8 @@ def ldp_trend_study(pot: Potential, functional: Functional,
 
         def bound_for(task):
             idx, plan = task
-            grid = plan.control_grid
-            control = SimpleControl.from_function(grid.lookup, n,
-                                                  grid.horizon)
+            control = ControlGrid.from_function(plan.control_grid.lookup,
+                                                n, n, horizon)
             return variational_upper_bound(
                 pot, functional, control, plan.profile, config, n_replicas,
                 rng=np.random.default_rng(streams[1 + idx]))

@@ -17,7 +17,6 @@ from gllab import (
     DensityField,
     Functional,
     SimConfig,
-    SimpleControl,
     cfl_time_steps,
     contraction_gap,
     equilibrium_profile,
@@ -205,7 +204,7 @@ def test_07_girsanov_normalization_and_entropy(gaussian, report):
     start = time.perf_counter()
     n, horizon = 16, 0.25
     config = SimConfig(n, horizon, stable_dt(gaussian, n), seed=271)
-    control = SimpleControl.constant(0.5, n, horizon)
+    control = ControlGrid(np.full((1, n), 0.5), horizon)
     batch = simulate_replicas(gaussian, config, equilibrium_profile(gaussian),
                               10_000, control=control)
     w = np.exp(batch.log_weights)
@@ -273,10 +272,10 @@ def test_09_variational_bound_dominates_laplace(gaussian, report):
             prof = tilted_constant_profile(gaussian,
                                            float(rng.uniform(-0.8, 0.8)))
         a = rng.uniform(-1.5, 1.5, size=3)
-        control = SimpleControl.from_function(
+        control = ControlGrid.from_function(
             lambda t, th: (a[0] * np.sin(2 * np.pi * th)
                            + a[1] * np.cos(2 * np.pi * th) + a[2]),
-            n, horizon, n_pieces=8)
+            8, n, horizon)
         rep = variational_upper_bound(gaussian, functional, control, prof,
                                       config, m,
                                       rng=np.random.default_rng(1000 + k))

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import gllab
-from gllab import (SimConfig, SimpleControl, make_potential, particles,
+from gllab import (ControlGrid, SimConfig, make_potential, particles,
                    sample_initial_from_profile, simulate_trajectory,
                    stable_dt, tilted_sine_profile)
 from gllab.cli import DEFAULTS, load_config, main
@@ -131,8 +131,8 @@ def test_simulate_batches_write_what_serial_runs_write(n, replicas, seed,
                  "constant(-0.6)": lambda th: np.full_like(th, -0.6),
                  "sine(1.1)": lambda th: 1.1 * np.sin(2.0 * np.pi * th),
                  }[control]
-        ctrl = None if field is None else SimpleControl.from_function(
-            lambda t, th: field(th), n, horizon, n_pieces=1)
+        ctrl = None if field is None else ControlGrid.from_function(
+            lambda t, th: field(th), 1, n, horizon)
         times = np.linspace(0.0, horizon, snapshots)
         for r, child in enumerate(
                 np.random.SeedSequence(seed).spawn(replicas)):

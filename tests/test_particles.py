@@ -10,14 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gllab import (AtomicSignedMeasure, CFLViolation, DensityField,
-                   LatticeState, MeasurePath, NonFiniteState, SimConfig,
-                   SimpleControl, TrajectoryRecord, deterministic_profile,
+from gllab import (AtomicSignedMeasure, CFLViolation, ControlGrid,
+                   DensityField, LatticeState, MeasurePath, NonFiniteState,
+                   SimConfig, TrajectoryRecord, deterministic_profile,
                    entropy_cost_of_profile, equilibrium_profile,
                    measure_path_to_csv, sample_initial_from_profile,
                    sample_initial_matrix, simulate_replicas,
-                   simulate_trajectory, stable_dt, tilted_constant_profile,
-                   tilted_sine_profile)
+                   simulate_trajectory, stable_dt, steering_plan,
+                   tilted_constant_profile, tilted_sine_profile)
 from gllab import particles
 from gllab.particles import _cell_positions
 
@@ -64,39 +64,11 @@ def test_stable_dt_formula(gaussian):
     assert stable_dt(gaussian, 10) == pytest.approx(0.1 / 100)
 
 
-def test_simple_control_piece_lookup():
-    ctrl = SimpleControl(np.asarray([0.0, 0.5, 1.0]),
-                         np.asarray([[1.0, 2.0], [3.0, 4.0]]), bound=4.0)
-    assert np.array_equal(ctrl.values_at(0.0), [1.0, 2.0])
-    assert np.array_equal(ctrl.values_at(0.49), [1.0, 2.0])
-    assert np.array_equal(ctrl.values_at(0.5), [3.0, 4.0])
-    assert np.array_equal(ctrl.values_at(1.0), [3.0, 4.0])
-
-
-def test_simple_control_validation():
-    with pytest.raises(ValueError, match="bound"):
-        SimpleControl(np.asarray([0.0, 1.0]), np.asarray([[5.0]]), bound=1.0)
-    with pytest.raises(ValueError, match="increasing"):
-        SimpleControl(np.asarray([0.0, 0.0, 1.0]),
-                      np.asarray([[1.0], [1.0]]), bound=2.0)
-    with pytest.raises(ValueError, match="row per interval"):
-        SimpleControl(np.asarray([0.0, 1.0]),
-                      np.asarray([[1.0], [1.0]]), bound=2.0)
-
-
-def test_simple_control_from_function_embedding():
-    u = lambda t, th: t + 10.0 * th
-    ctrl = SimpleControl.from_function(u, n_sites=4, horizon=1.0, n_pieces=2)
-    theta = np.arange(1, 5) / 4.0
-    assert np.allclose(ctrl.values[0], 10.0 * theta)
-    assert np.allclose(ctrl.values[1], 0.5 + 10.0 * theta)
-
-
 def test_girsanov_weight_is_normalized(gaussian):
     # E[exp(log dP/dPbar)] = 1 under the controlled law, exactly per step
     n, c, horizon = 4, 0.7, 0.2
     cfg = SimConfig(n, horizon, stable_dt(gaussian, n), seed=9)
-    ctrl = SimpleControl.constant(c, n, horizon)
+    ctrl = ControlGrid(np.full((1, n), c), horizon)
     batch = simulate_replicas(gaussian, cfg, equilibrium_profile(gaussian),
                               4000, control=ctrl,
                               rng=np.random.default_rng(99))
@@ -113,7 +85,7 @@ def test_girsanov_weight_is_normalized(gaussian):
 def test_controlled_step_increments(gaussian, rng):
     dt = 1e-4
     rec = simulate_trajectory(gaussian, SimConfig(8, dt, dt), np.zeros(8),
-                              SimpleControl.constant(0.3, 8, dt), rng=rng)
+                              ControlGrid(np.full((1, 8), 0.3), dt), rng=rng)
     assert rec.states.shape == (2, 8)
     assert rec.control_cost == pytest.approx(0.5 * 8 * 0.09 * 1e-4)
     assert math.isfinite(rec.girsanov_log_weight)
@@ -192,8 +164,6 @@ def test_tilted_sine_profile_tracks_its_mean(gaussian, rng):
     draws = prof.conditional_sampler(theta, rng)
     se = 1.0 / math.sqrt(draws.size)
     assert abs(draws.mean() - 0.8) < 5 * se           # sin(pi/2) = 1
-    assert np.allclose(prof.conditional_mean(np.asarray([0.0, 0.25])),
-                       [0.0, 0.8], atol=1e-12)
     # Gaussian entropy density h(m) = m^2/2 integrates to a^2/4
     assert entropy_cost_of_profile(prof, 64) == pytest.approx(0.16, abs=1e-4)
 
@@ -242,11 +212,11 @@ def _control(spec, n, horizon):
     if spec is None:
         return None
     if spec[0] == "constant":
-        return SimpleControl.constant(spec[1], n, horizon)
+        return ControlGrid(np.full((1, n), spec[1]), horizon)
     amp, pieces = spec[1], spec[2]
-    return SimpleControl.from_function(
-        lambda t, th: amp * np.sin(2.0 * np.pi * (th + t / horizon)), n,
-        horizon, n_pieces=pieces)
+    return ControlGrid.from_function(
+        lambda t, th: amp * np.sin(2.0 * np.pi * (th + t / horizon)), pieces,
+        n, horizon)
 
 
 @settings(max_examples=60, deadline=None)
@@ -297,6 +267,32 @@ def _advance(pot, charges, dt, noise, psi):
     return new, logw, cost
 
 
+def _serial(pot, x0, dt, steps, rng, psi_at):
+    """Reference run: ``_advance`` once per step on one (M, N) draw, with
+    control row ``psi_at(k dt)``; the states, log weights and costs after
+    every step."""
+    x, logw, cost = x0, np.zeros(len(x0)), np.zeros(len(x0))
+    states, logws, costs = [x0], [logw], [cost]
+    for k in range(steps):
+        x, dlogw, dcost = _advance(pot, x, dt, rng.standard_normal(x0.shape),
+                                   psi_at(k * dt))
+        logw, cost = logw + dlogw, cost + dcost
+        states.append(x)
+        logws.append(logw)
+        costs.append(cost)
+    return states, np.stack(logws), np.stack(costs)
+
+
+def _site_control(ctrl, t):
+    """The row sites 1..N feel at time t: the slice of the last breakpoint
+    of linspace(0, T, K + 1) at or before t, read at theta = i/N, which is
+    column i mod N."""
+    bp = np.linspace(0.0, ctrl.horizon, ctrl.n_steps + 1)
+    piece = min(int(np.searchsorted(bp, t, "right")), ctrl.n_steps) - 1
+    n = ctrl.j_cells
+    return ctrl.values[piece, np.arange(1, n + 1) % n]
+
+
 @settings(max_examples=60, deadline=None)
 @given(m=st.integers(1, 300), n=st.integers(1, 24),
        steps=st.integers(1, 40), block_steps=st.integers(1, 9),
@@ -323,21 +319,88 @@ def test_run_matches_serial_reference(quartic, m, n, steps, block_steps,
             [lambda th: np.sin(2.0 * np.pi * np.asarray(th))],
             record_states=True)
     ref_rng = np.random.default_rng(seed)
-    x, logw, cost = x0, np.zeros(m), np.zeros(m)
-    states, logws, costs = [x0], [logw], [cost]
-    for k in range(steps):
-        psi = ctrl.values_at(k * dt) if ctrl is not None else None
-        x, dlogw, dcost = _advance(quartic, x, dt,
-                                   ref_rng.standard_normal((m, n)), psi)
-        logw, cost = logw + dlogw, cost + dcost
-        states.append(x)
-        logws.append(logw)
-        costs.append(cost)
+    states, logws, costs = _serial(
+        quartic, x0, dt, steps, ref_rng,
+        lambda t: None if ctrl is None else _site_control(ctrl, t))
     assert np.array_equal(batch.states, np.stack(states)[idx])
     assert np.array_equal(batch.pairings[0],
                           [states[i] @ jv / n for i in idx])
-    assert np.array_equal(batch.log_weight_path, np.stack(logws)[idx])
-    assert np.array_equal(batch.cost_path, np.stack(costs)[idx])
+    assert np.array_equal(batch.log_weight_path, logws[idx])
+    assert np.array_equal(batch.cost_path, costs[idx])
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_a_step_just_below_a_breakpoint_keeps_the_earlier_slice(gaussian):
+    # with T = 0.01 in 9 steps, step 3's time 3 dt lies one ulp below the
+    # breakpoint T/3 of a 3-slice grid; ControlGrid.lookup's 1e-9 slack
+    # would take slice 1 there, the engine keeps slice 0
+    n, horizon = 2, 0.01
+    cfg = SimConfig(n, horizon, horizon / 9)
+    dt = horizon / cfg.n_steps()
+    grid = ControlGrid(np.repeat([[0.0], [1.0], [2.0]], n, axis=1), horizon)
+    breakpoints = np.linspace(0.0, horizon, 4)
+    assert breakpoints[1] - 3 * dt == np.spacing(breakpoints[1])
+    assert breakpoints[2] - 6 * dt == np.spacing(breakpoints[2])
+    assert grid.lookup(3 * dt, 0.0) == 1.0
+    batch = particles._run(gaussian, cfg, np.zeros((1, n)), grid,
+                           np.arange(10) * dt, np.random.default_rng(0))
+    # slice r costs 0.5 * N * r^2 * dt per step
+    used = np.diff(batch.cost_path[:, 0]) / (0.5 * n * dt)
+    assert used == pytest.approx([0, 0, 0, 0, 1, 1, 1, 4, 4], abs=1e-9)
+
+
+def test_run_rejects_a_control_grid_of_another_shape(gaussian):
+    cfg = SimConfig(4, 0.01, 1e-4)
+    for grid in (ControlGrid(np.zeros((2, 3)), 0.01),
+                 ControlGrid(np.zeros((2, 4)), 0.02)):
+        with pytest.raises(ValueError, match="does not match config"):
+            particles._run(gaussian, cfg, np.zeros((1, 4)), grid, None,
+                           np.random.default_rng(0))
+
+
+_PLANS = {}
+
+
+def _parent_site_control(grid, n, horizon, t):
+    """The trend study's per-site sampling before the engine took a
+    ControlGrid: grid.lookup at piece starts linspace(0, T, n + 1) and at
+    sites theta = (1..n)/n, the piece of step time t being the last start
+    at or before it."""
+    bp = np.linspace(0.0, horizon, n + 1)
+    piece = min(int(np.searchsorted(bp, t, "right")), n) - 1
+    return grid.lookup(bp[piece], np.arange(1, n + 1) / n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 64), target=st.sampled_from([-0.3, 0.1, 0.27]),
+       m=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+@example(n=64, target=0.27, m=3, seed=5)
+def test_trend_study_embedding_is_bit_identical(gaussian, n, target, m,
+                                                seed):
+    horizon = 0.02
+    if target not in _PLANS:
+        _PLANS[target] = steering_plan(gaussian, target, horizon,
+                                       lambda th: np.sin(2.0 * np.pi * th))
+    grid = _PLANS[target].control_grid
+    cfg = SimConfig(n, horizon, stable_dt(gaussian, n))
+    steps = cfg.n_steps()
+    dt = horizon / steps
+    x0 = np.random.default_rng(seed + 1).standard_normal((m, n))
+    rng = np.random.default_rng(seed)
+    # the embedding ldp_trend_study uses
+    control = ControlGrid.from_function(grid.lookup, n, n, horizon)
+    batch = particles._run(gaussian, cfg, x0, control,
+                           np.arange(steps + 1) * dt, rng,
+                           record_states=True)
+    ref_rng = np.random.default_rng(seed)
+    states, logws, costs = _serial(
+        gaussian, x0, dt, steps, ref_rng,
+        lambda t: _parent_site_control(grid, n, horizon, t))
+    assert np.array_equal(batch.states, np.stack(states))
+    assert np.array_equal(batch.log_weight_path, logws)
+    assert np.array_equal(batch.cost_path, costs)
+    assert np.array_equal(batch.log_weights, logws[-1])
+    assert np.array_equal(batch.costs, costs[-1])
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from gllab import (CFLViolation, ControlGrid, EnvelopeTable, NonFiniteField,
                    cfl_time_steps, contraction_gap, control_l2_distance,
-                   minimal_control_embedding, quartic_potential,
-                   SimpleControl, solve_controlled_pde, weak_form_residual)
+                   quartic_potential, solve_controlled_pde,
+                   weak_form_residual)
 
 
 def _sine(j):
@@ -80,12 +80,16 @@ def test_control_grid_norm_and_faces():
     faces = g2.face_values(0)
     assert faces[0] == pytest.approx(0.5)      # centered average of 0 and 1
     assert faces[-1] == pytest.approx(3.5)     # wraps around to cell 0
-    g3 = ControlGrid(row[None, :], horizon=1.0, face_mode="left")
-    assert np.allclose(g3.face_values(0), row)
+    with pytest.raises(ValueError, match="finite"):
+        ControlGrid(np.asarray([[0.0, np.nan]]), horizon=1.0)
+    with pytest.raises(ValueError, match="finite"):
+        ControlGrid(np.asarray([[np.inf, 0.0]]), horizon=1.0)
+    with pytest.raises(ValueError, match="positive"):
+        ControlGrid(vals, horizon=0.0)
 
 
 def test_control_grid_zeros_and_from_function():
-    z = ControlGrid.zeros(4, 8, 0.5)
+    z = ControlGrid(np.zeros((4, 8)), 0.5)
     assert z.l2_norm_sq == 0.0
     g = ControlGrid.from_function(lambda t, th: t + th, 4, 8, 0.5)
     assert g.values[0, 0] == pytest.approx(0.0)
@@ -106,25 +110,10 @@ def test_weak_formulation_residual_is_small(gaussian):
         assert res < 5e-3
 
 
-def test_minimal_control_embedding_preserves_norm(gaussian):
-    # piecewise-constant site control embedded on a refining grid keeps
-    # its L2 norm exactly when J is a multiple of N
-    n, horizon = 8, 0.2
-    ctrl = SimpleControl.from_function(
-        lambda t, th: np.cos(2.0 * np.pi * th) + 0.3,
-        n, horizon, n_pieces=4)
-    site_norm_sq = float(np.mean(ctrl.values ** 2, axis=1).sum()) \
-        * (horizon / 4)
-    for j, steps in ((8, 4), (16, 8), (32, 12)):
-        grid = minimal_control_embedding(ctrl, j_cells=j, n_steps=steps,
-                                         horizon=horizon)
-        assert grid.l2_norm_sq == pytest.approx(site_norm_sq, rel=1e-12)
-
-
 def test_control_l2_distance_symmetric_zero():
     a = ControlGrid.from_function(lambda t, th: np.sin(2 * np.pi * th),
                                   6, 16, 0.1)
-    b = ControlGrid.zeros(6, 16, 0.1)
+    b = ControlGrid(np.zeros((6, 16)), 0.1)
     d = control_l2_distance(a, b)
     assert d == pytest.approx(math.sqrt(0.5 * 0.1), rel=1e-2)
     assert control_l2_distance(a, a) == pytest.approx(0.0, abs=1e-14)
@@ -229,8 +218,7 @@ def _roll_reference(pot, m0, u, horizon, n_steps):
         m = m + diff * lap
         if u is not None:
             row = u.values[k]
-            right = row if u.face_mode == "left" \
-                else 0.5 * (row + np.roll(row, -1))
+            right = 0.5 * (row + np.roll(row, -1))
             m = m - adv * (right - np.roll(right, 1))
         if not np.all(np.isfinite(m)):
             raise NonFiniteField(f"field blew up at step {k + 1}")
@@ -256,18 +244,17 @@ def _compare_with_reference(pot, m0, u, horizon, n_steps):
 # growth) and past the resolvable range (clamping)
 @settings(max_examples=30, deadline=None)
 @given(j=st.integers(1, 40), n_steps=st.integers(1, 60),
-       mode=st.sampled_from([None, "centered", "left"]),
+       controlled=st.booleans(),
        scale=st.sampled_from([0.0, 0.5, 3.0, 20.0]),
        seed=st.integers(0, 2 ** 32 - 1))
-@example(j=16, n_steps=60, mode="centered", scale=3.0, seed=1)
-@example(j=16, n_steps=60, mode="left", scale=20.0, seed=2)
-def test_in_place_step_matches_roll_reference(gaussian, j, n_steps, mode,
-                                              scale, seed):
+@example(j=16, n_steps=60, controlled=True, scale=3.0, seed=1)
+def test_in_place_step_matches_roll_reference(gaussian, j, n_steps,
+                                              controlled, scale, seed):
     rng = np.random.default_rng(seed)
     m0 = rng.uniform(-1.0, 1.0, j)
     horizon = 0.4 * n_steps / j ** 2
-    u = None if mode is None else ControlGrid(
-        scale * rng.standard_normal((n_steps, j)), horizon, face_mode=mode)
+    u = ControlGrid(scale * rng.standard_normal((n_steps, j)), horizon) \
+        if controlled else None
     _compare_with_reference(gaussian, m0, u, horizon, n_steps)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gllab import (DegenerateEstimate, ExperimentReport, Functional,
-                   SimConfig, SimpleControl, equilibrium_profile,
+                   ControlGrid, SimConfig, equilibrium_profile,
                    importance_sampled_expectation, laplace_functional_mc,
                    ldp_trend_study, plain_expectation, sine_target_field,
                    stable_dt, steering_plan, tilted_sine_profile, trend_gaps,
@@ -18,8 +18,8 @@ def _sin_fn(th):
 
 
 def _embed(grid, n_sites, n_pieces=None):
-    return SimpleControl.from_function(grid.lookup, n_sites, grid.horizon,
-                                       n_pieces)
+    return ControlGrid.from_function(grid.lookup, n_pieces or n_sites,
+                                     n_sites, grid.horizon)
 
 
 def _quadratic_functional(a=8.0, center=0.0, bound=64.0):
@@ -152,12 +152,13 @@ def test_simple_control_embedding_samples_grid(gaussian):
     plan = steering_plan(gaussian, 0.2, 0.05, _sin_fn)
     ctrl = _embed(plan.control_grid, 8, n_pieces=5)
     assert ctrl.values.shape == (5, 8)
-    assert ctrl.breakpoints[0] == 0.0
-    assert ctrl.breakpoints[-1] == pytest.approx(0.05)
-    # site i sits at theta = i/N, which is grid column (i mod J)
-    grid_row = plan.control_grid.values[0]
-    assert ctrl.values[0, 0] == pytest.approx(
-        grid_row[round(64 / 8) % 64], abs=1e-12)
+    assert ctrl.horizon == pytest.approx(0.05)
+    # column j sits at theta = j/N, which is grid column j * J/N
+    grid = plan.control_grid
+    assert np.array_equal(ctrl.values[0], grid.values[0, ::64 // 8])
+    for k in range(5):
+        assert np.array_equal(ctrl.values[k],
+                              grid.lookup(k * ctrl.dt, np.arange(8) / 8))
 
 
 def test_trend_study_shapes_and_sink(gaussian):
