@@ -11,8 +11,8 @@ from .errors import (CFLViolation, ConfigInvalid, DegenerateEstimate,
                      GLLabError, NonFiniteField, NonFiniteState, NotMeanZero,
                      QuadratureDiverged, RootNotBracketed, TimeGridMismatch)
 from .measures import (AtomicSignedMeasure, MeasurePath, bl_distance, d_star,
-                       density_to_atoms, from_state, measure_path_to_csv,
-                       path_from_density_slices, path_from_record)
+                       density_to_atoms, from_state, path_from_density_slices,
+                       path_from_record)
 from .particles import (ControlGrid, LatticeState, ProfileMeasure,
                         ReplicaBatch, SimConfig, TrajectoryRecord,
                         deterministic_profile, entropy_cost_of_profile,

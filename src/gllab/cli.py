@@ -129,7 +129,7 @@ _FIELDS = {
 _PROFILES = {
     "tilted_sine": lambda a: lambda pot: tilted_sine_profile(pot, a),
     "constant": lambda a: lambda pot: deterministic_profile(
-        _FIELDS["constant"](a), description=f"constant({a:g})"),
+        _FIELDS["constant"](a)),
 }
 _M0 = _spec({}, _FIELDS)
 _CONTROL = _spec({"none": None}, _FIELDS)

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import TimeGridMismatch
-from .particles import LatticeState, TrajectoryRecord, write_csv
+from .particles import LatticeState, TrajectoryRecord
 
 
 @dataclass(frozen=True)
@@ -68,20 +68,17 @@ def from_state(state: LatticeState) -> AtomicSignedMeasure:
 def density_to_atoms(density, n_atoms: int) -> AtomicSignedMeasure:
     """Collocate a density on the circle onto n_atoms midpoint atoms.
 
-    ``density`` is either a callable on [0,1) or an array of values on the
-    uniform node grid j/J (J >= n_atoms); atom i/N gets weight m(i/N)/N.
+    ``density`` holds values on the uniform node grid j/J (J >= n_atoms);
+    atom i/N gets weight m(i/N)/N, interpolated linearly on the circle.
     """
     locations = np.arange(n_atoms) / n_atoms
-    if callable(density):
-        vals = np.asarray(density(locations), dtype=float)
-    else:
-        grid_vals = np.asarray(density, dtype=float)
-        j = grid_vals.size
-        if j < n_atoms:
-            raise ValueError("grid resolution is below the atom count")
-        grid = np.arange(j + 1) / j
-        wrapped = np.concatenate([grid_vals, grid_vals[:1]])
-        vals = np.interp(locations, grid, wrapped)
+    grid_vals = np.asarray(density, dtype=float)
+    j = grid_vals.size
+    if j < n_atoms:
+        raise ValueError("grid resolution is below the atom count")
+    grid = np.arange(j + 1) / j
+    wrapped = np.concatenate([grid_vals, grid_vals[:1]])
+    vals = np.interp(locations, grid, wrapped)
     return AtomicSignedMeasure(locations, vals / n_atoms)
 
 
@@ -179,12 +176,3 @@ def d_star(path1: MeasurePath, path2: MeasurePath) -> float:
     return max(bl_distance(a, b)
                for a, b in zip(path1.snapshots, path2.snapshots))
 
-
-def measure_path_to_csv(path: MeasurePath, fh):
-    n = max(s.n_atoms for s in path.snapshots)
-    header = ["t"] + [f"theta_{i}" for i in range(n)] \
-        + [f"w_{i}" for i in range(n)]
-    pad = [np.nan] * n
-    write_csv(fh, header, (np.concatenate((
-        [t], s.locations, pad[s.n_atoms:], s.weights, pad[s.n_atoms:]))
-        for t, s in zip(path.sample_times, path.snapshots)))

@@ -100,7 +100,9 @@ class ControlGrid:
     values[k, j] is the control on time slice k, [t_k, t_{k+1}) with
     t_k = k T/K, at theta = j/J.  This is the one control type: the
     particle engine needs J = N and gives site i the column at i/N (site
-    N takes column 0), and the PDE solver gives cell j column j.  The
+    N takes column 0), and the PDE solver gives cell j column j.  A
+    uniform step grid over [0, T] finds each step's slice with
+    ``slice_of``; the PDE solver's steps are the slices themselves.  The
     squared L2 norm over [0, T] x S is cached at construction.
     """
 
@@ -144,21 +146,19 @@ class ControlGrid:
         vals = np.stack([np.asarray(u(t, theta), dtype=float) for t in times])
         return cls(vals, horizon)
 
-    def lookup(self, t: float, theta) -> np.ndarray:
-        """Grid value at time t and positions theta: the slice whose left
-        endpoint is the last one at or before t, and the nearest cell
-        node (theta = 1 wraps to cell 0)."""
-        kdx = min(int(t / self.dt + 1e-9), self.n_steps - 1)
-        jdx = np.round(np.asarray(theta) * self.j_cells).astype(int) \
-            % self.j_cells
-        return self.values[kdx, jdx]
+    def slice_of(self, k, n_steps: int):
+        """The slice holding the start k T/n of step k (an int or an int
+        array) of n uniform steps over [0, T]: k K // n, exactly."""
+        return k * self.n_steps // n_steps
 
-    def face_values(self, k) -> np.ndarray:
-        """Right-face value for each cell on time slice k (an index or a
-        slice of time slices): the average of the two neighbouring
-        cells."""
-        row = self.values[k]
-        return 0.5 * (row + np.roll(row, -1, axis=-1))
+    def resample(self, n_steps: int, j_cells: int) -> "ControlGrid":
+        """This control on n_steps slices and j_cells positions: row k is
+        the slice of step k, column j the node nearest j/j_cells (ties to
+        even; theta = 1 wraps to column 0)."""
+        rows = self.slice_of(np.arange(n_steps), n_steps)
+        cols = np.round(np.arange(j_cells) / j_cells * self.j_cells) \
+            .astype(int) % self.j_cells
+        return ControlGrid(self.values[np.ix_(rows, cols)], self.horizon)
 
 
 def write_csv(fh, header: Sequence[str], rows):
@@ -222,27 +222,23 @@ def _run(pot: Potential, config: SimConfig, charges: np.ndarray,
     Sample times snap to the nearest step-grid point; at each one the
     pairings with ``pairing_functions`` (at site positions i/N), the
     running Girsanov log weights and costs, and optionally the states are
-    recorded.  Weights and costs stay zero without a control.
+    recorded.  Weights and costs stay zero without a control; a
+    non-finite final weight or cost raises NonFiniteState.
 
     A control has one column per site and the run's horizon.  Step k
-    takes the slice of the last breakpoint of linspace(0, T, K + 1) at or
-    before k dt, so a step time a rounding error below a breakpoint keeps
-    the earlier slice.
+    takes slice ``control.slice_of(k, n_steps)``, an integer rule with no
+    rounding at slice boundaries.
     """
     config.validate_stability(pot)
     m, n = charges.shape
     if n != config.n_sites:
         raise ValueError("initial state size does not match config")
-    # the control's next breakpoint: its piece terms are set once per piece
-    switch = math.inf
     if control is not None:
         if (control.j_cells, control.horizon) != (n, config.horizon):
             raise ValueError("control grid does not match config")
         # grid column j sits at theta = j/N and engine column i is site
         # i + 1, so row r of ``rows`` is slice r with site N's column last
         rows = np.roll(control.values, -1, axis=1)
-        breakpoints = np.linspace(0.0, control.horizon, control.n_steps + 1)
-        switch = -math.inf
     n_steps = config.n_steps()
     dt = config.horizon / n_steps
     sqdt = math.sqrt(dt)
@@ -293,6 +289,7 @@ def _run(pot: Potential, config: SimConfig, charges: np.ndarray,
 
     record(0)
     k = 0
+    piece = -1      # the slice whose terms psi..dcost hold
     with ThreadPoolExecutor(max_workers=1) as helper:
         pending = helper.submit(fill, out=next(outs))
         while pending is not None:
@@ -301,13 +298,12 @@ def _run(pot: Potential, config: SimConfig, charges: np.ndarray,
             pending = (None if out is None
                        else helper.submit(fill, out=out))
             for noise in block:
-                if k * dt >= switch:
-                    i = int(np.searchsorted(breakpoints, k * dt, "right"))
-                    psi = rows[min(i, len(rows)) - 1]
-                    psi_dt, psi_sqdt = psi * dt, psi * sqdt
-                    dcost = 0.5 * np.sum(psi ** 2) * dt
-                    switch = breakpoints[i] \
-                        if i < breakpoints.size else math.inf
+                if control is not None:
+                    i = control.slice_of(k, n_steps)
+                    if i != piece:
+                        piece, psi = i, rows[i]
+                        psi_dt, psi_sqdt = psi * dt, psi * sqdt
+                        dcost = 0.5 * np.sum(psi ** 2) * dt
                 # dz = ((N*N/2) * (fp[i-1] - fp[i])) * dt + N * (sqrt(dt)
                 # * noise + psi*dt); x = (x + dz) - dz[i+1], in this order
                 fp = np.asarray(pot.phi_prime(x), dtype=float)
@@ -334,6 +330,9 @@ def _run(pot: Potential, config: SimConfig, charges: np.ndarray,
                     cost += dcost
                 k += 1
                 record(k)
+    if not (np.isfinite(logw).all() and np.isfinite(cost).all()):
+        raise NonFiniteState("Girsanov log weight or control cost is not "
+                             "finite")
 
     return ReplicaBatch(
         sample_times=sample_idx * dt,
@@ -412,7 +411,6 @@ class ProfileMeasure:
 
     conditional_sampler: Callable
     entropy_density: Callable
-    description: str = ""
 
 
 def equilibrium_profile(pot: Potential) -> ProfileMeasure:
@@ -424,12 +422,10 @@ def equilibrium_profile(pot: Potential) -> ProfileMeasure:
             np.zeros_like(np.asarray(theta, dtype=float)), rng),
         entropy_density=lambda theta: np.zeros_like(
             np.asarray(theta, dtype=float)),
-        description="equilibrium",
     )
 
 
-def tilted_profile(pot: Potential, mean_fn: Callable,
-                   description: str = "tilted") -> ProfileMeasure:
+def tilted_profile(pot: Potential, mean_fn: Callable) -> ProfileMeasure:
     """Exponentially tilted profile with prescribed mean m0(theta).
 
     The tilt solves rho'(lam(theta)) = m0(theta); its entropy density is
@@ -453,31 +449,26 @@ def tilted_profile(pot: Potential, mean_fn: Callable,
             lam_of_theta(np.asarray(theta, dtype=float)), rng),
         entropy_density=lambda theta: np.interp(
             np.asarray(mean_fn(theta), dtype=float), grid, h_grid),
-        description=description,
     )
 
 
 def tilted_sine_profile(pot: Potential, amplitude: float) -> ProfileMeasure:
     return tilted_profile(
-        pot, lambda theta: amplitude * np.sin(2.0 * np.pi * np.asarray(theta)),
-        description=f"tilted_sine({amplitude:g})")
+        pot, lambda theta: amplitude * np.sin(2.0 * np.pi * np.asarray(theta)))
 
 
 def tilted_constant_profile(pot: Potential, level: float) -> ProfileMeasure:
     return tilted_profile(pot, lambda theta: np.full_like(
-        np.asarray(theta, dtype=float), level),
-        description=f"tilted_constant({level:g})")
+        np.asarray(theta, dtype=float), level))
 
 
-def deterministic_profile(mean_fn: Callable,
-                          description: str = "deterministic") -> ProfileMeasure:
+def deterministic_profile(mean_fn: Callable) -> ProfileMeasure:
     """Point mass at m0(theta); infinite entropy against the reference."""
     return ProfileMeasure(
         conditional_sampler=lambda theta, rng: np.asarray(
             mean_fn(theta), dtype=float),
         entropy_density=lambda theta: np.full_like(
             np.asarray(theta, dtype=float), np.inf),
-        description=description,
     )
 
 

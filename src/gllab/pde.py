@@ -8,7 +8,8 @@ flux difference of H(m), and the control enters through face values.
 Both terms telescope, so cell-average mass is conserved to round-off.
 
 The control is a ``ControlGrid``, the type the particle engine takes
-too; its face values are the average of the two neighboring cells.
+too, with one slice per time step; its face values are the average of
+the two neighboring cells.
 Stability needs dt <= dtheta^2 / max H'(m), H' = 1/var over the envelope
 chunks the field reads: the initial density's (the scheme is then
 monotone) and, under a control, each chunk it gains later.  A violation
@@ -146,7 +147,7 @@ def solve_controlled_pde(pot: Potential, m0, u: ControlGrid | None = None,
     diff = 0.5 * dt / dtheta ** 2
     flux = None
     if u is not None:
-        right = u.face_values(slice(None))
+        right = 0.5 * (u.values + np.roll(u.values, -1, axis=1))
         flux = (dt / dtheta) * (right - np.roll(right, 1, axis=1))
     out = np.empty((n_steps + 1, j_cells))
     out[0] = m

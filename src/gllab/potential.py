@@ -404,12 +404,6 @@ class Potential:
             self._remember(self._tilt_tables, key, table)
         return table
 
-    def sample_tilted(self, lam, rng, size=None):
-        """Draw from the lam-tilted density by tabulated inverse CDF."""
-        cdf = self._tilt_cdf(lam)
-        u = rng.random(size)
-        return np.interp(u, cdf, self._y)
-
     # -- cutoff local-equilibrium average --------------------------------
 
     def local_equilibrium_average(self, x, cutoff):

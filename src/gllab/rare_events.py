@@ -57,19 +57,14 @@ class Functional:
             raise ValueError("functional bound must be finite and positive")
 
     def from_pairings(self, pairings: np.ndarray) -> np.ndarray:
-        """Evaluate on a (snapshots, replicas) pairing array."""
+        """Evaluate on a (snapshots, replicas) pairing array; a
+        deterministic path is one replica."""
         if self.kind == "pairing_at_end":
             v = pairings[-1]
         else:
             v = np.max(pairings, axis=0)
         return np.clip(np.asarray(self.transform(v), dtype=float),
                        -self.bound, self.bound)
-
-    def on_limit_pairing(self, pairing_path: np.ndarray) -> float:
-        """Evaluate on a deterministic pairing path (one value per time)."""
-        v = pairing_path[-1] if self.kind == "pairing_at_end" \
-            else float(np.max(pairing_path))
-        return float(np.clip(self.transform(v), -self.bound, self.bound))
 
 
 @dataclass(frozen=True)
@@ -258,8 +253,7 @@ def steering_plan(pot: Potential, target: float, horizon: float,
     # The profile's Legendre solve covers the initial slice's range, so it
     # raises wherever rate() found no finite initial entropy.
     profile = tilted_profile(
-        pot, lambda th: b0 * np.sin(2.0 * np.pi * np.asarray(th)),
-        description=f"steering(target={target:g})")
+        pot, lambda th: b0 * np.sin(2.0 * np.pi * np.asarray(th)))
     if not decomp.feasible:
         raise RuntimeError("steering field unexpectedly infeasible")
     theta = np.arange(j_cells) / j_cells
@@ -302,7 +296,7 @@ def ldp_trend_study(pot: Potential, functional: Functional,
     """Laplace estimates vs. best variational bounds across system sizes.
 
     For each N the control family consists of the minimal controls of the
-    steering paths for each target (sampled onto N slices and N sites),
+    steering paths for each target (resampled onto N slices and N sites),
     paired with the matching tilted profiles.  The limit column
     is the smallest F + rate over the same targets, which makes it an
     upper estimate of the infimum.  Individual estimator reports are
@@ -311,7 +305,7 @@ def ldp_trend_study(pot: Potential, functional: Functional,
     plans = [steering_plan(pot, v, horizon, functional.test_function)
              for v in targets]
     limit_value = min(
-        functional.on_limit_pairing(p.limit_pairing) + p.rate_total
+        functional.from_pairings(p.limit_pairing[:, None])[0] + p.rate_total
         for p in plans)
 
     seeds = np.random.SeedSequence(seed).spawn(len(n_list))
@@ -325,8 +319,7 @@ def ldp_trend_study(pot: Potential, functional: Functional,
 
         def bound_for(task):
             idx, plan = task
-            control = ControlGrid.from_function(plan.control_grid.lookup,
-                                                n, n, horizon)
+            control = plan.control_grid.resample(n, n)
             return variational_upper_bound(
                 pot, functional, control, plan.profile, config, n_replicas,
                 rng=np.random.default_rng(streams[1 + idx]))

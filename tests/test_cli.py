@@ -324,6 +324,20 @@ def test_unreachable_density_names_the_quadrature_window(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_a_non_finite_girsanov_weight_exits_3(tmp_path, capsys):
+    # a finite but huge control: its cost per step overflows to inf, and
+    # the flux it drives rounds every charge away
+    ini = _write(tmp_path, "huge.ini",
+                 "[simulate]\nn_sites = 4\nhorizon = 0.001\n"
+                 "control = constant(1e300)\n")
+    assert main(["simulate", "--config", ini,
+                 "--output-dir", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["numerical failure: Girsanov log weight or control cost "
+                   "is not finite"]
+    assert not (tmp_path / "x").exists()
+
+
 def test_a_control_past_the_initial_cfl_bound_exits_3(tmp_path, capsys):
     # the quartic's H' = 1/var grows with |m|; the control carries the
     # field out of the chunks of m0, past the bound its step was sized for

@@ -1,7 +1,5 @@
 """Bounded-Lipschitz geometry of atomic signed measures on the circle."""
 
-import io
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +8,7 @@ from scipy.optimize import linprog
 
 from gllab import (AtomicSignedMeasure, LatticeState, MeasurePath,
                    TimeGridMismatch, bl_distance, d_star, density_to_atoms,
-                   from_state, measure_path_to_csv, path_from_density_slices)
+                   from_state, path_from_density_slices)
 from gllab.measures import arc_distance
 
 
@@ -92,13 +90,14 @@ def test_from_state_encodes_charges():
 
 
 def test_density_to_atoms_callable_and_grid_agree():
+    # every atom i/16 is a node of the 32-point grid, so the atoms carry
+    # the callable's own values there
     fn = lambda th: 0.3 + np.sin(2.0 * np.pi * np.asarray(th))
     grid = fn(np.arange(32) / 32.0)
-    a = density_to_atoms(fn, 16)
     b = density_to_atoms(grid, 16)
-    assert np.allclose(a.locations, b.locations)
-    assert np.allclose(a.weights, b.weights, atol=1e-12)
-    assert np.sum(a.weights) == pytest.approx(np.mean(fn(np.arange(16) / 16)))
+    assert np.allclose(b.locations, np.arange(16) / 16)
+    assert np.allclose(b.weights, fn(b.locations) / 16, atol=1e-12)
+    assert np.sum(b.weights) == pytest.approx(np.mean(fn(np.arange(16) / 16)))
 
 
 def _all_pairs_bl(mu, nu):
@@ -207,13 +206,10 @@ def test_d_star_requires_matching_time_grids():
         d_star(p1, p2)
 
 
-def test_path_from_density_slices_and_csv():
+def test_path_from_density_slices():
     t = np.asarray([0.0, 0.1])
     slices = np.stack([np.full(8, 0.5), np.full(8, 0.5)])
     path = path_from_density_slices(t, slices, n_atoms=8)
     assert len(path.snapshots) == 2
-    buf = io.StringIO()
-    measure_path_to_csv(path, buf)
-    text = buf.getvalue().splitlines()
-    assert text[0].startswith("t,theta_0")
-    assert len(text) == 3
+    assert np.array_equal(path.sample_times, t)
+    assert np.allclose(path.pairings(np.ones_like), 0.5)

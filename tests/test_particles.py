@@ -10,11 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gllab import (AtomicSignedMeasure, CFLViolation, ControlGrid,
-                   DensityField, LatticeState, MeasurePath, NonFiniteState,
-                   SimConfig, TrajectoryRecord, deterministic_profile,
-                   entropy_cost_of_profile, equilibrium_profile,
-                   measure_path_to_csv, sample_initial_from_profile,
+from gllab import (CFLViolation, ControlGrid, DensityField, LatticeState,
+                   NonFiniteState, SimConfig, TrajectoryRecord,
+                   deterministic_profile, entropy_cost_of_profile,
+                   equilibrium_profile, sample_initial_from_profile,
                    sample_initial_matrix, simulate_replicas,
                    simulate_trajectory, stable_dt, steering_plan,
                    tilted_constant_profile, tilted_sine_profile)
@@ -269,13 +268,13 @@ def _advance(pot, charges, dt, noise, psi):
 
 def _serial(pot, x0, dt, steps, rng, psi_at):
     """Reference run: ``_advance`` once per step on one (M, N) draw, with
-    control row ``psi_at(k dt)``; the states, log weights and costs after
-    every step."""
+    control row ``psi_at(k)`` on step k; the states, log weights and costs
+    after every step."""
     x, logw, cost = x0, np.zeros(len(x0)), np.zeros(len(x0))
     states, logws, costs = [x0], [logw], [cost]
     for k in range(steps):
         x, dlogw, dcost = _advance(pot, x, dt, rng.standard_normal(x0.shape),
-                                   psi_at(k * dt))
+                                   psi_at(k))
         logw, cost = logw + dlogw, cost + dcost
         states.append(x)
         logws.append(logw)
@@ -283,14 +282,12 @@ def _serial(pot, x0, dt, steps, rng, psi_at):
     return states, np.stack(logws), np.stack(costs)
 
 
-def _site_control(ctrl, t):
-    """The row sites 1..N feel at time t: the slice of the last breakpoint
-    of linspace(0, T, K + 1) at or before t, read at theta = i/N, which is
-    column i mod N."""
-    bp = np.linspace(0.0, ctrl.horizon, ctrl.n_steps + 1)
-    piece = min(int(np.searchsorted(bp, t, "right")), ctrl.n_steps) - 1
+def _site_control(ctrl, k, steps):
+    """The row sites 1..N feel on step k of ``steps``: slice k K // steps,
+    the one holding the step's exact start k T/steps, read at theta = i/N,
+    which is column i mod N."""
     n = ctrl.j_cells
-    return ctrl.values[piece, np.arange(1, n + 1) % n]
+    return ctrl.values[k * ctrl.n_steps // steps, np.arange(1, n + 1) % n]
 
 
 @settings(max_examples=60, deadline=None)
@@ -321,7 +318,7 @@ def test_run_matches_serial_reference(quartic, m, n, steps, block_steps,
     ref_rng = np.random.default_rng(seed)
     states, logws, costs = _serial(
         quartic, x0, dt, steps, ref_rng,
-        lambda t: None if ctrl is None else _site_control(ctrl, t))
+        lambda k: None if ctrl is None else _site_control(ctrl, k, steps))
     assert np.array_equal(batch.states, np.stack(states)[idx])
     assert np.array_equal(batch.pairings[0],
                           [states[i] @ jv / n for i in idx])
@@ -330,23 +327,29 @@ def test_run_matches_serial_reference(quartic, m, n, steps, block_steps,
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_a_step_just_below_a_breakpoint_keeps_the_earlier_slice(gaussian):
-    # with T = 0.01 in 9 steps, step 3's time 3 dt lies one ulp below the
-    # breakpoint T/3 of a 3-slice grid; ControlGrid.lookup's 1e-9 slack
-    # would take slice 1 there, the engine keeps slice 0
+def test_a_step_on_a_slice_boundary_takes_the_later_slice(gaussian):
+    # with T = 0.01 in 9 steps, steps 3 and 6 start exactly on the slice
+    # boundaries T/3 and 2T/3 of a 3-slice grid, while their float times
+    # 3 dt and 6 dt lie one ulp below the float boundaries; the integer
+    # rule gives each step the slice that holds its exact start
     n, horizon = 2, 0.01
     cfg = SimConfig(n, horizon, horizon / 9)
     dt = horizon / cfg.n_steps()
     grid = ControlGrid(np.repeat([[0.0], [1.0], [2.0]], n, axis=1), horizon)
-    breakpoints = np.linspace(0.0, horizon, 4)
-    assert breakpoints[1] - 3 * dt == np.spacing(breakpoints[1])
-    assert breakpoints[2] - 6 * dt == np.spacing(breakpoints[2])
-    assert grid.lookup(3 * dt, 0.0) == 1.0
+    boundaries = np.linspace(0.0, horizon, 4)
+    assert boundaries[1] - 3 * dt == np.spacing(boundaries[1])
+    assert boundaries[2] - 6 * dt == np.spacing(boundaries[2])
+    # the float rule (last boundary at or before k dt) keeps the earlier
+    # slice on both steps
+    assert [int(np.searchsorted(boundaries, k * dt, "right")) - 1
+            for k in (3, 6)] == [0, 1]
     batch = particles._run(gaussian, cfg, np.zeros((1, n)), grid,
                            np.arange(10) * dt, np.random.default_rng(0))
     # slice r costs 0.5 * N * r^2 * dt per step
     used = np.diff(batch.cost_path[:, 0]) / (0.5 * n * dt)
-    assert used == pytest.approx([0, 0, 0, 0, 1, 1, 1, 4, 4], abs=1e-9)
+    assert used == pytest.approx([0, 0, 0, 1, 1, 1, 4, 4, 4], abs=1e-9)
+    assert list(grid.slice_of(np.arange(9), 9)) == [0, 0, 0, 1, 1, 1, 2, 2,
+                                                    2]
 
 
 def test_run_rejects_a_control_grid_of_another_shape(gaussian):
@@ -361,41 +364,85 @@ def test_run_rejects_a_control_grid_of_another_shape(gaussian):
 _PLANS = {}
 
 
-def _parent_site_control(grid, n, horizon, t):
-    """The trend study's per-site sampling before the engine took a
-    ControlGrid: grid.lookup at piece starts linspace(0, T, n + 1) and at
-    sites theta = (1..n)/n, the piece of step time t being the last start
-    at or before it."""
-    bp = np.linspace(0.0, horizon, n + 1)
-    piece = min(int(np.searchsorted(bp, t, "right")), n) - 1
-    return grid.lookup(bp[piece], np.arange(1, n + 1) / n)
+def _parent_lookup(grid, t, theta):
+    """``ControlGrid.lookup`` as it was before ``resample`` replaced it:
+    slice int(t/dt + 1e-9), nearest node (theta = 1 wraps to node 0)."""
+    kdx = min(int(t / grid.dt + 1e-9), grid.n_steps - 1)
+    jdx = np.round(np.asarray(theta) * grid.j_cells).astype(int) \
+        % grid.j_cells
+    return grid.values[kdx, jdx]
+
+
+def _parent_site_control(grid, n, steps, k):
+    """The trend study's per-site control on step k: the parent's lookup
+    on n slices at piece starts p T/n and at sites theta = (1..n)/n, the
+    piece of step k being k n // steps, the one holding its exact start."""
+    piece = k * n // steps
+    return _parent_lookup(grid, piece * (grid.horizon / n),
+                          np.arange(1, n + 1) / n)
+
+
+def _steering_grid(pot, target, horizon):
+    key = (pot, target, horizon)
+    if key not in _PLANS:
+        _PLANS[key] = steering_plan(pot, target, horizon,
+                                    lambda th: np.sin(2.0 * np.pi * th))
+    return _PLANS[key].control_grid
+
+
+_GRIDS = st.one_of(
+    st.builds(lambda k, j, horizon, seed: ControlGrid(
+        np.random.default_rng(seed).standard_normal((k, j)), horizon),
+        st.integers(1, 160), st.integers(1, 160),
+        st.sampled_from([0.01, 0.02, 0.05, 0.1, 0.3, 1.0 / 3.0]),
+        st.integers(0, 2 ** 32 - 1)),
+    st.tuples(st.sampled_from(["gaussian", "quartic"]),
+              st.sampled_from([0.02, 0.05, 0.1, 0.3])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_GRIDS, n=st.integers(1, 128), j_cells=st.integers(1, 128))
+@example(spec=("gaussian", 0.3), n=32, j_cells=32)
+@example(spec=("gaussian", 0.02), n=35, j_cells=35)
+@example(spec=("quartic", 0.05), n=128, j_cells=96)
+def test_resample_matches_the_parent_lookup(gaussian, quartic, spec, n,
+                                            j_cells):
+    grid = spec if isinstance(spec, ControlGrid) else _steering_grid(
+        {"gaussian": gaussian, "quartic": quartic}[spec[0]], 0.27, spec[1])
+    new = grid.resample(n, j_cells)
+    old = ControlGrid.from_function(
+        lambda t, th: _parent_lookup(grid, t, th), n, j_cells, grid.horizon)
+    assert np.array_equal(new.values, old.values)
+    assert new.horizon == old.horizon
+    assert new.l2_norm_sq == old.l2_norm_sq
 
 
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 64), target=st.sampled_from([-0.3, 0.1, 0.27]),
        m=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
 @example(n=64, target=0.27, m=3, seed=5)
+@example(n=35, target=0.27, m=2, seed=7)
+@example(n=55, target=0.27, m=2, seed=11)
 def test_trend_study_embedding_is_bit_identical(gaussian, n, target, m,
                                                 seed):
+    # at T = 0.02, N = 35 and N = 55 have steps whose exact start is a
+    # slice boundary while their float time is an ulp below it
     horizon = 0.02
-    if target not in _PLANS:
-        _PLANS[target] = steering_plan(gaussian, target, horizon,
-                                       lambda th: np.sin(2.0 * np.pi * th))
-    grid = _PLANS[target].control_grid
+    grid = _steering_grid(gaussian, target, horizon)
     cfg = SimConfig(n, horizon, stable_dt(gaussian, n))
     steps = cfg.n_steps()
     dt = horizon / steps
     x0 = np.random.default_rng(seed + 1).standard_normal((m, n))
     rng = np.random.default_rng(seed)
     # the embedding ldp_trend_study uses
-    control = ControlGrid.from_function(grid.lookup, n, n, horizon)
+    control = grid.resample(n, n)
     batch = particles._run(gaussian, cfg, x0, control,
                            np.arange(steps + 1) * dt, rng,
                            record_states=True)
     ref_rng = np.random.default_rng(seed)
     states, logws, costs = _serial(
         gaussian, x0, dt, steps, ref_rng,
-        lambda t: _parent_site_control(grid, n, horizon, t))
+        lambda k: _parent_site_control(grid, n, steps, k))
     assert np.array_equal(batch.states, np.stack(states))
     assert np.array_equal(batch.log_weight_path, logws)
     assert np.array_equal(batch.cost_path, costs)
@@ -481,12 +528,6 @@ def test_csv_writers_match_the_per_value_join():
     rec = TrajectoryRecord(t, states[:3], 0.0, 0.0, _EDGE_ROWS[:, 4],
                            _EDGE_ROWS[:, 5])
     field = DensityField(_EDGE_ROWS, 2.0)
-    # snapshots of 3, 1 and 2 atoms: the shorter ones are padded with nan
-    path = MeasurePath(t, (
-        AtomicSignedMeasure(np.array([0.0, 0.25, 0.5]),
-                            np.array([-0.0, 5e-324, 1e308])),
-        AtomicSignedMeasure(np.array([0.125]), np.array([2.0])),
-        AtomicSignedMeasure(np.array([0.5, 0.75]), np.array([1 / 3, -1.0]))))
     expected = {
         "trajectory": "".join(_old_csv_row([t[k], *rec.states[k],
                                             rec.log_weight_path[k],
@@ -494,13 +535,8 @@ def test_csv_writers_match_the_per_value_join():
                               for k in range(3)),
         "field": "".join(_old_csv_row([tk, *row]) for tk, row in
                          zip(field.times, field.values)),
-        "path": "".join(_old_csv_row(
-            [tk, *s.locations, *[np.nan] * (3 - s.n_atoms), *s.weights,
-             *[np.nan] * (3 - s.n_atoms)])
-            for tk, s in zip(t, path.snapshots)),
     }
-    for name, write in (("trajectory", rec.to_csv), ("field", field.to_csv),
-                        ("path", lambda fh: measure_path_to_csv(path, fh))):
+    for name, write in (("trajectory", rec.to_csv), ("field", field.to_csv)):
         buf = io.StringIO()
         write(buf)
         assert buf.getvalue().split("\n", 1)[1] == expected[name], name

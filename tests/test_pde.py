@@ -69,17 +69,22 @@ def test_cfl_time_steps_scales_with_resolution(gaussian):
     assert k64 == math.ceil(0.05 / (0.5 / 64 ** 2))
 
 
-def test_control_grid_norm_and_faces():
+def test_control_grid_norm_and_faces(gaussian):
     vals = np.full((5, 8), 2.0)
     grid = ControlGrid(vals, horizon=0.1)
     assert grid.l2_norm_sq == pytest.approx(4.0 * 0.1)
     assert grid.dt == pytest.approx(0.02)
     assert grid.dtheta == pytest.approx(0.125)
+    # from m = 0 (so H(m) = 0 on the Gaussian) one step moves only the
+    # control flux: face j + 1/2 carries the centred average of cells j and
+    # j + 1, wrapping from the last cell to cell 0
     row = np.arange(8.0)
-    g2 = ControlGrid(row[None, :], horizon=1.0)
-    faces = g2.face_values(0)
-    assert faces[0] == pytest.approx(0.5)      # centered average of 0 and 1
-    assert faces[-1] == pytest.approx(3.5)     # wraps around to cell 0
+    g2 = ControlGrid(row[None, :], horizon=1e-3)
+    faces = 0.5 * (row + np.roll(row, -1))
+    assert faces[0] == 0.5 and faces[-1] == 3.5
+    step = solve_controlled_pde(gaussian, np.zeros(8), g2).values
+    assert step[1] == pytest.approx(-(1e-3 * 8) * (faces - np.roll(faces, 1)),
+                                    rel=1e-12, abs=1e-15)
     with pytest.raises(ValueError, match="finite"):
         ControlGrid(np.asarray([[0.0, np.nan]]), horizon=1.0)
     with pytest.raises(ValueError, match="finite"):

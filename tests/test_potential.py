@@ -251,7 +251,9 @@ def test_quadrature_spec_validation():
 
 
 def test_sample_tilted_moments(gaussian, rng):
-    draws = gaussian.sample_tilted(0.7, rng, size=40000)
+    # one tilt: the single-row path equilibrium_profile takes at tilt 0
+    draws = TiltedFamilySampler(gaussian, 0.7, 0.7).sample(
+        np.full(40000, 0.7), rng)
     se = 1.0 / math.sqrt(40000)
     assert abs(draws.mean() - 0.7) < 5 * se
     assert abs(draws.var() - 1.0) < 6 * se

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gllab import (DegenerateEstimate, ExperimentReport, Functional,
-                   ControlGrid, SimConfig, equilibrium_profile,
+                   SimConfig, equilibrium_profile,
                    importance_sampled_expectation, laplace_functional_mc,
                    ldp_trend_study, plain_expectation, sine_target_field,
                    stable_dt, steering_plan, tilted_sine_profile, trend_gaps,
@@ -18,8 +18,7 @@ def _sin_fn(th):
 
 
 def _embed(grid, n_sites, n_pieces=None):
-    return ControlGrid.from_function(grid.lookup, n_pieces or n_sites,
-                                     n_sites, grid.horizon)
+    return grid.resample(n_pieces or n_sites, n_sites)
 
 
 def _quadratic_functional(a=8.0, center=0.0, bound=64.0):
@@ -114,7 +113,8 @@ def test_sup_functional_uses_the_whole_path():
                      transform=lambda v: np.asarray(v), bound=10.0)
     pairings = np.asarray([[0.1, 0.0], [0.7, -0.2], [0.3, -0.1]])
     assert np.allclose(fun.from_pairings(pairings), [0.7, 0.0])
-    assert fun.on_limit_pairing(np.asarray([0.1, 0.9, 0.2])) == \
+    # a deterministic path is one replica
+    assert fun.from_pairings(np.asarray([[0.1], [0.9], [0.2]]))[0] == \
         pytest.approx(0.9)
 
 
@@ -156,9 +156,10 @@ def test_simple_control_embedding_samples_grid(gaussian):
     # column j sits at theta = j/N, which is grid column j * J/N
     grid = plan.control_grid
     assert np.array_equal(ctrl.values[0], grid.values[0, ::64 // 8])
+    # slice k starts at k T/5, inside grid slice k K // 5
     for k in range(5):
         assert np.array_equal(ctrl.values[k],
-                              grid.lookup(k * ctrl.dt, np.arange(8) / 8))
+                              grid.values[k * grid.n_steps // 5, ::64 // 8])
 
 
 def test_trend_study_shapes_and_sink(gaussian):
