@@ -8,7 +8,7 @@ limit, and Monte Carlo machinery for estimating rare-event costs.
 """
 
 from .errors import (CFLViolation, ConfigInvalid, DegenerateEstimate,
-                     GLLabError, NonFiniteField, NonFiniteState, NotMeanZero,
+                     GLLabError, NonFiniteField, NonFiniteState,
                      QuadratureDiverged, RootNotBracketed, TimeGridMismatch)
 from .measures import (AtomicSignedMeasure, MeasurePath, bl_distance, d_star,
                        density_to_atoms, from_state, path_from_density_slices,
@@ -21,8 +21,7 @@ from .particles import (ControlGrid, LatticeState, ProfileMeasure,
                         simulate_trajectory, stable_dt, tilted_constant_profile,
                         tilted_profile, tilted_sine_profile)
 from .pde import (DensityField, cfl_time_steps, contraction_gap,
-                  control_l2_distance, solve_controlled_pde,
-                  weak_form_residual)
+                  control_l2_distance, solve_controlled_pde)
 from .potential import (EnvelopeTable, Potential, QuadratureSpec,
                         TiltedFamilySampler, gaussian_potential,
                         make_potential, quartic_potential)
@@ -31,7 +30,6 @@ from .rare_events import (ExperimentReport, Functional, SteeringPlan,
                           laplace_functional_mc, ldp_trend_study,
                           plain_expectation, sine_target_field, steering_plan,
                           trend_gaps, variational_upper_bound)
-from .rate import (RateDecomposition, dynamic_cost_via_seminorm,
-                   h_minus_one_seminorm, initial_cost, minimal_control, rate)
+from .rate import RateDecomposition, initial_cost, minimal_control, rate
 
 __version__ = "0.1.0"

@@ -13,7 +13,11 @@ and every key of every section is checked before any work starts, whatever
 the subcommand.  Numbers must be finite.  A spec (profile, m0, control) is
 ``name``, ``name(value)`` or ``name:value``.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure, the
+last reported on one stderr line: numpy's floating-point RuntimeWarnings
+are silenced for the command, through the process-wide warnings filter
+that the estimators' pool threads read too (``np.errstate`` would reach
+the main thread only).  The envelope clamp warning still prints.
 Output directory resolution: --output-dir flag, then GLLAB_OUTPUT_DIR,
 then the config value.
 """
@@ -27,6 +31,7 @@ import os
 import re
 import shutil
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -44,6 +49,8 @@ from .rare_events import (ExperimentReport, Functional, TrendRow,
 from .rate import RateDecomposition, rate
 
 ENV_OUTPUT_DIR = "GLLAB_OUTPUT_DIR"
+# numpy's floating-point RuntimeWarnings, by their message
+FP_WARNING = r"(overflow|invalid value|divide by zero|underflow) encountered"
 
 # A plan is impossible, and exits 2 before anything is allocated, when its
 # step count reaches 2**53, past which the step times k*dt are not exact,
@@ -410,23 +417,26 @@ def main(argv=None) -> int:
     if args.subcommand == "print-defaults":
         print(_ini(DEFAULTS), end="")
         return 0
-    try:
-        resolved = load_config(args.config)
-        cfg = parse_config(resolved)
-        pot = build_potential(cfg["potential"])
-        out = Path(args.output_dir or os.environ.get(ENV_OUTPUT_DIR)
-                   or cfg["run"].output_dir)
-        COMMANDS[args.subcommand](pot, cfg, out)
-        (out / "manifest.ini").write_text(
-            _ini(resolved) + f"[provenance]\ntool_version = {__version__}\n"
-            f"subcommand = {args.subcommand}\n")
-        return 0
-    except ConfigInvalid as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except GLLabError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", FP_WARNING, RuntimeWarning)
+        try:
+            resolved = load_config(args.config)
+            cfg = parse_config(resolved)
+            pot = build_potential(cfg["potential"])
+            out = Path(args.output_dir or os.environ.get(ENV_OUTPUT_DIR)
+                       or cfg["run"].output_dir)
+            COMMANDS[args.subcommand](pot, cfg, out)
+            (out / "manifest.ini").write_text(
+                _ini(resolved) + "[provenance]\n"
+                f"tool_version = {__version__}\n"
+                f"subcommand = {args.subcommand}\n")
+            return 0
+        except ConfigInvalid as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except GLLabError as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

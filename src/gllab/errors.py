@@ -37,10 +37,6 @@ class TimeGridMismatch(GLLabError):
     """Two measure paths do not share a common snapshot grid."""
 
 
-class NotMeanZero(GLLabError):
-    """Seminorm input has nonzero spatial mean (no periodic antiderivative)."""
-
-
 class DegenerateEstimate(GLLabError):
     """Monte Carlo estimate degenerated (non-finite values or vanishing
     weight mass); reported instead of returning a silent NaN."""

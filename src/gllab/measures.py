@@ -123,10 +123,14 @@ def bl_distance(mu1: AtomicSignedMeasure, mu2: AtomicSignedMeasure) -> float:
 
     from scipy import sparse
 
-    # np.unique sorted theta: row k pairs atom k with its successor
+    # np.unique sorted theta: row k pairs atom k with its successor, as
+    # f_k - f_{k+1} <= d_k, and row m + k as f_{k+1} - f_k <= d_k
     d = arc_distance(theta, np.roll(theta, -1))
-    grad = sparse.eye(m) - sparse.eye(m, k=1) - sparse.eye(m, k=1 - m)
-    a_ub = sparse.vstack([grad, -grad])
+    k = np.arange(m)
+    a_ub = sparse.csr_array(
+        (np.repeat([1.0, -1.0, -1.0, 1.0], m),
+         (np.concatenate([k, k, k + m, k + m]),
+          np.concatenate([k, (k + 1) % m] * 2))), shape=(2 * m, m))
     b_ub = np.concatenate([d, d])
 
     # HiGHS's tolerances are absolute (1e-7): solve with costs of largest

@@ -15,19 +15,24 @@ chunks the field reads: the initial density's (the scheme is then
 monotone) and, under a control, each chunk it gains later.  A violation
 raises CFLViolation.
 
-The solver steps in place: the control flux of every time slice is
-computed before the loop, and each step writes the 3-point Laplacian into
-one preallocated buffer and the new level straight into the output
-field, with the floating-point grouping ((H[j+1] - 2 H[j]) + H[j-1],
-then m + diff*lap, then minus the flux) of the step written with
-``np.roll``.
+One march steps an (R, J) stack of densities: one row for
+``solve_controlled_pde``, one per control for ``contraction_gap``.  The
+control flux of every time slice is computed before the loop.  A step
+does only the stencil: H from the envelope view's nodes (nan past them),
+the 3-point Laplacian in one preallocated buffer, the new level straight
+into the output field, with the floating-point grouping ((H[j+1] - 2 H[j])
++ H[j-1], then m + diff*lap, then minus the flux) of the step written with
+``np.roll``, and one finiteness check.  A step that is not finite is
+redone through the checked ``EnvelopeTable`` call, which reads a new
+value's chunk or clamps it; a controlled march then re-checks the CFL
+bound, and a level still not finite raises NonFiniteField.  A view with
+a gap takes the checked call on every step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -117,6 +122,58 @@ def cfl_time_steps(pot: Potential, m0, j_cells: int, horizon: float) -> int:
     return _cfl_steps(horizon, table, m.size)
 
 
+def _march(table: EnvelopeTable, m0, controls, horizon: float,
+           n_steps: int) -> np.ndarray:
+    """Step m0 under each control as one (R, J) stack (one uncontrolled
+    row without controls), sharing ``table``; returns (n_steps+1, R, J).
+    A value past the view's nodes reads nan, so its step is redone
+    through the checked ``table`` call (see the module docstring)."""
+    j_cells = m0.size
+    dtheta = 1.0 / j_cells
+    dt = horizon / n_steps
+    _stable_dt(table, j_cells, dt)
+
+    diff = 0.5 * dt / dtheta ** 2
+    flux = None
+    if controls:
+        flux = np.empty((n_steps, len(controls), j_cells))
+        for r, u in enumerate(controls):
+            right = u.values + np.roll(u.values, -1, axis=1)
+            right *= 0.5
+            np.subtract(right, np.roll(right, 1, axis=1), out=flux[:, r])
+        flux *= dt / dtheta
+    out = np.empty((n_steps + 1, max(1, len(controls)), j_cells))
+    out[0] = m0
+    lap = np.empty(out.shape[1:])
+
+    def step(k, hm):
+        # lap = (hm[j+1] - 2 hm[j]) + hm[j-1] on the circle, in place
+        np.multiply(hm, 2.0, out=lap)
+        np.subtract(hm[:, 1:], lap[:, :-1], out=lap[:, :-1])
+        lap[:, -1] = hm[:, 0] - lap[:, -1]
+        lap[:, 1:] += hm[:, :-1]
+        lap[:, 0] += hm[:, -1]
+        np.multiply(lap, diff, out=lap)
+        nxt = out[k + 1]
+        np.add(out[k], lap, out=nxt)
+        if flux is not None:
+            nxt -= flux[k]
+        return np.isfinite(nxt).all()
+
+    nodes = table.nodes()
+    for k in range(n_steps):
+        if nodes is not None and step(k, np.interp(
+                out[k], *nodes, left=math.nan, right=math.nan)):
+            continue
+        hm = table(out[k])
+        if flux is not None:
+            _stable_dt(table, j_cells, dt)     # the view may have grown
+        if not step(k, hm):
+            raise NonFiniteField(f"field blew up at step {k + 1}")
+        nodes = table.nodes()
+    return out
+
+
 def solve_controlled_pde(pot: Potential, m0, u: ControlGrid | None = None,
                          horizon: float | None = None,
                          j_cells: int | None = None,
@@ -136,79 +193,10 @@ def solve_controlled_pde(pot: Potential, m0, u: ControlGrid | None = None,
     if callable(m0) and j_cells is None:
         raise ValueError("j_cells required with a callable initial density")
     m, table = _resolve_grid(pot, m0, j_cells)
-    j_cells = m.size
-
-    dtheta = 1.0 / j_cells
     if n_steps is None:
-        n_steps = _cfl_steps(horizon, table, j_cells)
-    dt = horizon / n_steps
-    _stable_dt(table, j_cells, dt)
-
-    diff = 0.5 * dt / dtheta ** 2
-    flux = None
-    if u is not None:
-        right = 0.5 * (u.values + np.roll(u.values, -1, axis=1))
-        flux = (dt / dtheta) * (right - np.roll(right, 1, axis=1))
-    out = np.empty((n_steps + 1, j_cells))
-    out[0] = m
-    lap = np.empty(j_cells)
-    for k in range(n_steps):
-        hm = table(out[k])
-        if flux is not None:
-            _stable_dt(table, j_cells, dt)     # the table may have grown
-        # lap = (hm[j+1] - 2 hm[j]) + hm[j-1] on the circle, in place
-        np.multiply(hm, 2.0, out=lap)
-        np.subtract(hm[1:], lap[:-1], out=lap[:-1])
-        lap[-1] = hm[0] - lap[-1]
-        lap[1:] += hm[:-1]
-        lap[0] += hm[-1]
-        lap *= diff
-        nxt = out[k + 1]
-        np.add(out[k], lap, out=nxt)
-        if flux is not None:
-            nxt -= flux[k]
-        if not np.all(np.isfinite(nxt)):
-            raise NonFiniteField(f"field blew up at step {k + 1}")
-
-    return DensityField(out, horizon, range_escaped=table.range_escaped)
-
-
-def weak_form_residual(pot: Potential, field: DensityField,
-                       u: ControlGrid | None, test_function: Callable,
-                       t: float) -> float:
-    """Defect of the weak formulation against a smooth test function.
-
-    Computes |<m(t),J> - <m(0),J> - (1/2) int int J'' H(m) - int int J' u|
-    with grid quadrature in space and left-endpoint rule in time, matching
-    the explicit scheme's attribution of fluxes to the left time level.
-    """
-    j = field.j_cells
-    theta = np.arange(j) / j
-    dtheta = field.dtheta
-    dt = field.dt
-    k_end = int(round(t / dt))
-    if abs(k_end * dt - t) > 1e-9 * max(1.0, t):
-        raise ValueError("t must lie on the field's time grid")
-    k_end = min(max(k_end, 0), field.n_steps)
-
-    # Spectral derivatives of the test function on the periodic grid;
-    # exact for trigonometric polynomials below the Nyquist mode.
-    jv = np.asarray(test_function(theta), dtype=float)
-    freq = 2.0j * np.pi * np.fft.rfftfreq(j, d=dtheta)
-    jhat = np.fft.rfft(jv)
-    jp = np.fft.irfft(jhat * freq, n=j)
-    jpp = np.fft.irfft(jhat * freq ** 2, n=j)
-
-    boundary = (np.sum(field.values[k_end] * jv)
-                - np.sum(field.values[0] * jv)) * dtheta
-    diffusive = advective = 0.0
-    if k_end:
-        vals = field.values[:k_end]
-        hm = EnvelopeTable(pot, np.min(vals), np.max(vals))(vals)
-        diffusive = np.sum(hm * jpp) * dtheta * dt
-        if u is not None:
-            advective = np.sum(u.values[:k_end] * jp) * dtheta * dt
-    return float(abs(boundary - 0.5 * diffusive - advective))
+        n_steps = _cfl_steps(horizon, table, m.size)
+    out = _march(table, m, [] if u is None else [u], horizon, n_steps)
+    return DensityField(out[:, 0], horizon, range_escaped=table.range_escaped)
 
 
 def control_l2_distance(u1: ControlGrid, u2: ControlGrid) -> float:
@@ -224,18 +212,17 @@ def contraction_gap(pot: Potential, m0, u1: ControlGrid, u2: ControlGrid):
     Returns (lhs, rhs): lhs is the bounded-Lipschitz distance between the
     two solutions from the same initial density, the max over 9 evenly
     spaced snapshots with one atom per cell; rhs is exp(T/2) times the L2
-    distance of the controls.
+    distance of the controls.  The two solutions are one two-row march
+    over one envelope view: a clamp warns once, and a failure of either
+    row raises at the first step where it occurs.
     """
     from .measures import path_from_density_slices, d_star
 
-    f1 = solve_controlled_pde(pot, m0, u1)
-    f2 = solve_controlled_pde(pot, m0, u2)
-    times = np.linspace(0.0, u1.horizon, 9)
-    idx = np.round(times / f1.dt).astype(int)
-    p1 = path_from_density_slices(idx * f1.dt, [f1.values[k] for k in idx],
-                                  f1.j_cells)
-    p2 = path_from_density_slices(idx * f2.dt, [f2.values[k] for k in idx],
-                                  f2.j_cells)
-    lhs = d_star(p1, p2)
     rhs = math.exp(u1.horizon / 2.0) * control_l2_distance(u1, u2)
-    return lhs, rhs
+    m, table = _resolve_grid(pot, m0, u1.j_cells)
+    out = _march(table, m, [u1, u2], u1.horizon, u1.n_steps)
+    dt = u1.horizon / u1.n_steps
+    idx = np.round(np.linspace(0.0, u1.horizon, 9) / dt).astype(int)
+    p1, p2 = (path_from_density_slices(idx * dt, out[idx, r], m.size)
+              for r in (0, 1))
+    return d_star(p1, p2), rhs

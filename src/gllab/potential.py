@@ -502,6 +502,11 @@ class EnvelopeTable:
         self._last = self._xs[-1] if gapless else -math.inf
         self._max_curvature = 1.0 / max(float(np.min(self._vars)), 1e-300)
 
+    def nodes(self):
+        """(xs, lams) of a gapless view, else None: ``np.interp`` on them
+        answers every value inside them as a call does."""
+        return None if self._last == -math.inf else (self._xs, self._lams)
+
     def max_curvature(self):
         """max d(lam*)/dx = 1/var over the view's chunks (CFL input)."""
         return self._max_curvature

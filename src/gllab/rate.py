@@ -8,10 +8,6 @@ path's defect g = dm/dt - (1/2) [H(m)]_thetatheta: the equation forces
 du/dtheta = -g, so u* is the zero-mean circular antiderivative of -g,
 which exists only when g integrates to zero in theta (mass is conserved);
 otherwise the path is infeasible and the rate is +inf.
-
-The dynamic cost can be cross-checked against the negative-order Sobolev
-seminorm of g computed by discrete Fourier transform; the two agree up to
-grid resolution.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotMeanZero, QuadratureDiverged, RootNotBracketed
+from .errors import QuadratureDiverged, RootNotBracketed
 from .pde import ControlGrid, DensityField
 from .potential import EnvelopeTable, Potential
 
@@ -94,35 +90,3 @@ def rate(pot: Potential, field: DensityField) -> RateDecomposition:
         return RateDecomposition(init, None, math.inf, math.inf, False)
     dyn = 0.5 * control.l2_norm_sq
     return RateDecomposition(init, control, dyn, init + dyn, True)
-
-
-def h_minus_one_seminorm(g) -> float:
-    """Negative-order seminorm: L2 norm of the zero-mean antiderivative.
-
-    Computed through the discrete Fourier transform as
-    sqrt(sum_{k != 0} |g_hat_k|^2 / (2 pi k)^2); raises NotMeanZero when
-    the input's spatial mean exceeds 1e-10 times max(1, max |g|).
-    """
-    g = np.asarray(g, dtype=float)
-    if g.ndim != 1:
-        raise ValueError("expected one spatial slice")
-    scale = float(np.max(np.abs(g), initial=0.0))
-    mean = float(np.mean(g))
-    if abs(mean) > 1e-10 * max(1.0, scale):
-        raise NotMeanZero(f"spatial mean {mean:.3e} is not zero")
-    j = g.size
-    coeff = np.fft.rfft(g) / j
-    k = np.arange(coeff.size)
-    mult = np.ones(coeff.size)
-    if j % 2 == 0:
-        mult[-1] = 0.5    # Nyquist bin counts once, not twice
-    terms = (np.abs(coeff[1:]) ** 2) * mult[1:] / (2.0 * np.pi * k[1:]) ** 2
-    return float(math.sqrt(2.0 * np.sum(terms)))
-
-
-def dynamic_cost_via_seminorm(pot: Potential, field: DensityField) -> float:
-    """Time integral of half the squared seminorm of the defect."""
-    g = _defect(pot, field)
-    g = g - g.mean(axis=1, keepdims=True)
-    total = sum(h_minus_one_seminorm(row) ** 2 for row in g)
-    return 0.5 * total * field.dt

@@ -455,3 +455,60 @@ def test_gllab_starts_without_scipy(tmp_path):
     assert loaded == "[]"
     assert float(distance) == pytest.approx(0.25, abs=1e-12)
     assert solver_loaded == "True"
+
+
+def _gllab(tmp_path, command, ini_text):
+    """``gllab command`` on a config, in a fresh interpreter: numpy's
+    floating-point warnings print there as in a real run, while capsys
+    never sees them."""
+    ini = _write(tmp_path, "run.ini", ini_text)
+    src = os.path.dirname(os.path.dirname(gllab.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "gllab.cli", command, "--config", ini,
+         "--output-dir", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=300)
+
+
+def test_a_failing_run_prints_exactly_one_stderr_line(tmp_path):
+    # the control's squares overflow in ControlGrid and in the engine;
+    # their RuntimeWarnings would add four lines
+    run = _gllab(tmp_path, "simulate", "[simulate]\nn_sites = 4\n"
+                 "horizon = 0.001\ncontrol = constant(1e300)\n")
+    assert run.returncode == 3
+    assert run.stderr.splitlines() == [
+        "numerical failure: Girsanov log weight or control cost is not "
+        "finite"]
+
+
+def test_the_clamp_warning_still_prints(tmp_path):
+    run = _gllab(tmp_path, "pde", "[pde]\nj_cells = 16\nhorizon = 0.05\n"
+                 "m0 = sine(0.5)\ncontrol = sine(100)\n")
+    assert run.returncode == 0
+    assert "UserWarning: envelope slope queried outside the resolvable " \
+        "range" in run.stderr
+
+
+def test_pool_threads_print_no_floating_point_warnings(tmp_path):
+    # np.errstate would not reach the estimators' pool threads
+    # (workers > 1); the warnings filter is process-wide
+    code = textwrap.dedent("""
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+        import numpy as np
+        from gllab import cli
+
+        def overflow(pot, cfg, out):
+            out.mkdir(parents=True)
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                list(pool.map(lambda x: np.float64(x) * 10.0, [1e308] * 4))
+
+        cli.COMMANDS["pde"] = overflow
+        sys.exit(cli.main(["pde", "--output-dir", sys.argv[1]]))
+    """)
+    src = os.path.dirname(os.path.dirname(gllab.__file__))
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0
+    assert run.stderr == ""

@@ -1,14 +1,17 @@
 """Bounded-Lipschitz geometry of atomic signed measures on the circle."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.optimize import linprog
 
 from gllab import (AtomicSignedMeasure, LatticeState, MeasurePath,
                    TimeGridMismatch, bl_distance, d_star, density_to_atoms,
-                   from_state, path_from_density_slices)
+                   from_state, measures, path_from_density_slices)
 from gllab.measures import arc_distance
 
 
@@ -160,6 +163,56 @@ def test_bl_distance_matches_all_pairs_lp(pair):
     tv = mu.total_variation() + nu.total_variation()
     assert abs(bl_distance(mu, nu) - _all_pairs_bl(mu, nu)) <= \
         1e-12 * (1.0 + tv)
+
+
+def _eye_rows(m):
+    """The neighbour-row matrix as bl_distance built it before: three
+    sparse.eye calls, two subtractions and a vstack."""
+    grad = sparse.eye(m) - sparse.eye(m, k=1) - sparse.eye(m, k=1 - m)
+    return sparse.vstack([grad, -grad])
+
+
+def _eye_rows_bl(mu, nu):
+    """bl_distance with the constraint matrix built by ``_eye_rows``."""
+    locs = np.concatenate([mu.locations, nu.locations])
+    wts = np.concatenate([mu.weights, -nu.weights])
+    uniq, inv = np.unique(locs, return_inverse=True)
+    net = np.zeros(uniq.size)
+    np.add.at(net, inv, wts)
+    scale = float(np.max(np.abs(net), initial=0.0))
+    if scale == 0.0:
+        return 0.0
+    keep = np.abs(net) > 1e-15 * scale
+    theta = uniq[keep]
+    c = net[keep]
+    if theta.size == 1:
+        return float(np.abs(c[0]))
+    d = arc_distance(theta, np.roll(theta, -1))
+    res = linprog(-c / scale, A_ub=_eye_rows(theta.size),
+                  b_ub=np.concatenate([d, d]), bounds=(-1.0, 1.0),
+                  method="highs")
+    assert res.success
+    return float(-res.fun) * scale
+
+
+def test_constraint_matrix_equals_the_eye_construction(monkeypatch):
+    seen = []
+
+    def record(c, A_ub, **kwargs):
+        seen.append(A_ub)
+        return SimpleNamespace(success=True, fun=0.0)
+    monkeypatch.setattr(measures, "linprog", record)
+    empty = AtomicSignedMeasure(np.zeros(0), np.zeros(0))
+    for m in range(2, 301):
+        bl_distance(AtomicSignedMeasure(np.arange(m) / m, np.ones(m)), empty)
+        assert seen[-1].shape == (2 * m, m)
+        assert np.array_equal(seen[-1].toarray(), _eye_rows(m).toarray())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_measure_pairs())
+def test_bl_distance_matches_the_eye_construction_bit_for_bit(pair):
+    assert bl_distance(*pair) == _eye_rows_bl(*pair)
 
 
 def test_bl_distance_at_4096_atoms(rng):

@@ -6,13 +6,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from gllab import (CFLViolation, ControlGrid, EnvelopeTable, NonFiniteField,
                    cfl_time_steps, contraction_gap, control_l2_distance,
-                   quartic_potential, solve_controlled_pde,
-                   weak_form_residual)
+                   d_star, path_from_density_slices, quartic_potential,
+                   solve_controlled_pde)
+from gllab.pde import _stable_dt
+from oracles import weak_form_residual
 
 
 def _sine(j):
@@ -276,3 +278,186 @@ def test_in_place_step_matches_reference_through_rebuild_and_clamp(gaussian):
     # ... a strong one passes the quadrature window's resolvable range
     assert _compare_with_reference(gaussian, m0, strong(30.0), horizon,
                                    n_steps) == (True, True)
+
+
+def _checked_reference(pot, m0, u, horizon, n_steps):
+    """The solver loop as it was before the one march: every step reads
+    the envelope through the checked table call, and a controlled solve
+    re-checks the CFL bound after each.  Returns (values, table)."""
+    m0 = np.asarray(m0, dtype=float)
+    table = EnvelopeTable(pot, np.min(m0), np.max(m0))
+    j_cells = m0.size
+    dtheta = 1.0 / j_cells
+    dt = horizon / n_steps
+    _stable_dt(table, j_cells, dt)
+
+    diff = 0.5 * dt / dtheta ** 2
+    flux = None
+    if u is not None:
+        right = 0.5 * (u.values + np.roll(u.values, -1, axis=1))
+        flux = (dt / dtheta) * (right - np.roll(right, 1, axis=1))
+    out = np.empty((n_steps + 1, j_cells))
+    out[0] = m0
+    lap = np.empty(j_cells)
+    for k in range(n_steps):
+        hm = table(out[k])
+        if flux is not None:
+            _stable_dt(table, j_cells, dt)     # the table may have grown
+        # lap = (hm[j+1] - 2 hm[j]) + hm[j-1] on the circle, in place
+        np.multiply(hm, 2.0, out=lap)
+        np.subtract(hm[1:], lap[:-1], out=lap[:-1])
+        lap[-1] = hm[0] - lap[-1]
+        lap[1:] += hm[:-1]
+        lap[0] += hm[-1]
+        lap *= diff
+        nxt = out[k + 1]
+        np.add(out[k], lap, out=nxt)
+        if flux is not None:
+            nxt -= flux[k]
+        if not np.all(np.isfinite(nxt)):
+            raise NonFiniteField(f"field blew up at step {k + 1}")
+    return out, table
+
+
+def _outcome(fn):
+    """(result, clamp warnings) of ``fn()``; the result is (exception
+    type, message) when it raises a solver failure."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn()
+        except (NonFiniteField, CFLViolation) as exc:
+            result = (type(exc), str(exc))
+    clamps = sum(issubclass(w.category, UserWarning) for w in caught)
+    return result, clamps
+
+
+def _march_matches_reference(pot, m0, u, horizon, n_steps):
+    """Assert that the solver and the checked reference agree bit for
+    bit, failure included; returns the reference's table, or the
+    failure's type."""
+    ref, ref_clamps = _outcome(
+        lambda: _checked_reference(pot, m0, u, horizon, n_steps))
+    got, clamps = _outcome(lambda: solve_controlled_pde(
+        pot, m0, u, horizon=horizon, j_cells=m0.size, n_steps=n_steps))
+    assert clamps == ref_clamps
+    if isinstance(got, tuple):
+        assert got == ref
+        return got[0]
+    values, table = ref
+    assert np.array_equal(got.values, values)
+    assert got.range_escaped == table.range_escaped
+    return table
+
+
+def _spike(values, k):
+    """Control values whose row k overflows the face average to inf."""
+    values = values.copy()
+    values[k] = 1.7e308 * np.where(np.arange(values.shape[1]) % 4 < 2,
+                                   1.0, -1.0)
+    return values
+
+
+# dt is the CFL bound of m0's chunks times ``cfl``: 1.5 fails before the
+# first step; the quartic's H' grows with |m|, so a control can carry its
+# field into chunks that fail the bound mid-solve; larger control scales
+# carry the field into new chunks and past the resolvable edge (6.25 for
+# the Gaussian), where values clamp; a spike overflows one step's flux
+@settings(max_examples=120, deadline=None)
+@given(family=st.sampled_from(["gaussian", "quartic"]),
+       j=st.integers(4, 128), n_steps=st.integers(1, 40),
+       amp=st.sampled_from([0.2, 1.0, 3.0]),
+       scale=st.sampled_from([None, 0.0, 0.5, 5.0, 50.0, 500.0, 5000.0]),
+       spike=st.sampled_from([False] * 3 + [True]),
+       cfl=st.sampled_from([0.5, 1.0, 1.0, 1.5]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_march_matches_checked_reference(gaussian, quartic, family, j,
+                                         n_steps, amp, scale, spike, cfl,
+                                         seed):
+    pot = gaussian if family == "gaussian" else quartic
+    rng = np.random.default_rng(seed)
+    m0 = amp * rng.uniform(-1.0, 1.0, j)
+    table = EnvelopeTable(pot, np.min(m0), np.max(m0))
+    horizon = cfl * n_steps * _stable_dt(table, j)
+    u = None
+    if scale is not None:
+        values = scale * rng.standard_normal((n_steps, j))
+        if spike:
+            values = _spike(values, int(rng.integers(n_steps)))
+        with np.errstate(over="ignore"):
+            u = ControlGrid(values, horizon)
+    first = (table.lo, table.hi)
+    table = _march_matches_reference(pot, m0, u, horizon, n_steps)
+    event(table.__name__ if isinstance(table, type) else
+          "clamped" if table.range_escaped else
+          "grew" if (table.lo, table.hi) != first else "stayed")
+
+
+@pytest.mark.parametrize("c, grew, escaped, gap", [
+    (0.5, False, False, False),     # stays inside m0's chunks
+    (8.0, True, False, False),      # reads new chunks
+    (100.0, True, True, True),      # clamps, skipping chunks: a gap
+])
+def test_march_matches_checked_reference_in_each_regime(gaussian, c, grew,
+                                                        escaped, gap):
+    j, n_steps = 16, 60
+    horizon = 0.4 * n_steps / j ** 2
+    theta = np.arange(j) / j
+    m0 = 0.5 * np.sin(2.0 * np.pi * theta)
+    first = EnvelopeTable(gaussian, np.min(m0), np.max(m0))
+    u = ControlGrid(np.tile(c * np.cos(2.0 * np.pi * theta), (n_steps, 1)),
+                    horizon)
+    table = _march_matches_reference(gaussian, m0, u, horizon, n_steps)
+    assert ((table.lo, table.hi) != (first.lo, first.hi)) == grew
+    assert table.range_escaped == escaped
+    assert (table.nodes() is None) == gap
+
+
+def _separate_gap(pot, m0, u1, u2):
+    """contraction_gap's (lhs, rhs) from two separate solves."""
+    f1 = solve_controlled_pde(pot, m0, u1)
+    f2 = solve_controlled_pde(pot, m0, u2)
+    idx = np.round(np.linspace(0.0, u1.horizon, 9) / f1.dt).astype(int)
+    p1, p2 = (path_from_density_slices(idx * f.dt, [f.values[k] for k in idx],
+                                       f.j_cells) for f in (f1, f2))
+    return (d_star(p1, p2),
+            math.exp(u1.horizon / 2.0) * control_l2_distance(u1, u2))
+
+
+@settings(max_examples=15, deadline=None)
+@given(j=st.integers(4, 64), n_steps=st.integers(1, 40),
+       scales=st.tuples(*[st.sampled_from([0.0, 0.5, 8.0, 100.0])] * 2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_contraction_gap_equals_two_separate_solves(gaussian, j, n_steps,
+                                                    scales, seed):
+    rng = np.random.default_rng(seed)
+    m0 = rng.uniform(-1.0, 1.0, j)
+    horizon = 0.4 * n_steps / j ** 2
+    u1, u2 = (ControlGrid(s * rng.standard_normal((n_steps, j)), horizon)
+              for s in scales)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")       # clamped queries warn
+        assert contraction_gap(gaussian, m0, u1, u2) == \
+            _separate_gap(gaussian, m0, u1, u2)
+
+
+def test_contraction_gap_warns_once_and_fails_at_the_first_step(gaussian):
+    j, n_steps = 16, 60
+    horizon = 0.4 * n_steps / j ** 2
+    theta = np.arange(j) / j
+    m0 = 0.5 * np.sin(2.0 * np.pi * theta)
+    strong = np.tile(100.0 * np.cos(2.0 * np.pi * theta), (n_steps, 1))
+    u1 = ControlGrid(strong, horizon)
+    u2 = ControlGrid(-strong, horizon)
+    # both rows clamp, through one envelope view: one warning, not two
+    _, clamps = _outcome(lambda: contraction_gap(gaussian, m0, u1, u2))
+    assert clamps == 1
+    # u2 fails at step 6, u1 at step 31: the march stops at step 6,
+    # while solving u1 first would have stopped at step 31
+    with np.errstate(over="ignore"):
+        u1 = ControlGrid(_spike(strong, 30), horizon)
+        u2 = ControlGrid(_spike(strong, 5), horizon)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(NonFiniteField, match="at step 6$"):
+            contraction_gap(gaussian, m0, u1, u2)
