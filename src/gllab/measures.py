@@ -8,7 +8,8 @@ locations theta_k: |f_k| <= 1, and |f_k - f_{k+1}| <= d_arc(theta_k,
 theta_{k+1}) for cyclically adjacent atoms only.  Chained along the shorter
 arc, the neighbour rows give the Lipschitz bound for every pair (see
 ``bl_distance``), so the LP has O(m) rows and needs no atom cap.  Path
-distance is the max over shared snapshot times.
+distance is the max over shared snapshot times, solved only at snapshots
+whose closed-form bound (``_bl_bound``, exact at zero net mass) can set it.
 
 scipy's LP solver is imported on the first solve, not with this module:
 it is most of the package's import time, and most runs never solve an LP.
@@ -46,16 +47,10 @@ class AtomicSignedMeasure:
     def n_atoms(self) -> int:
         return self.locations.size
 
-    def total_variation(self) -> float:
-        return float(np.sum(np.abs(self.weights)))
-
     def pair(self, test_function: Callable) -> float:
         """Integral of the test function against this measure."""
         return float(np.sum(self.weights
                             * np.asarray(test_function(self.locations))))
-
-    def scaled(self, factor: float) -> "AtomicSignedMeasure":
-        return AtomicSignedMeasure(self.locations, factor * self.weights)
 
 
 def from_state(state: LatticeState) -> AtomicSignedMeasure:
@@ -94,6 +89,17 @@ def linprog(*args, **kwargs):
     return solve(*args, **kwargs)
 
 
+def _net(mu1: AtomicSignedMeasure, mu2: AtomicSignedMeasure):
+    """Nonzero net weights c of mu1 - mu2 at sorted atoms, and arc gaps d."""
+    locs = np.concatenate([mu1.locations, mu2.locations])
+    wts = np.concatenate([mu1.weights, -mu2.weights])
+    uniq, inv = np.unique(locs, return_inverse=True)
+    net = np.bincount(inv, weights=wts, minlength=uniq.size)
+    keep = np.abs(net) > 1e-15 * np.max(np.abs(net), initial=0.0)
+    theta = uniq[keep]
+    return net[keep], arc_distance(theta, np.roll(theta, -1))
+
+
 def bl_distance(mu1: AtomicSignedMeasure, mu2: AtomicSignedMeasure) -> float:
     """Bounded-Lipschitz distance, solved exactly as a finite LP.
 
@@ -106,26 +112,15 @@ def bl_distance(mu1: AtomicSignedMeasure, mu2: AtomicSignedMeasure) -> float:
     each neighbour's d_arc is at most its gap.  So the LP is exact with
     2m rows instead of m(m-1).
     """
-    locs = np.concatenate([mu1.locations, mu2.locations])
-    wts = np.concatenate([mu1.weights, -mu2.weights])
-    uniq, inv = np.unique(locs, return_inverse=True)
-    net = np.zeros(uniq.size)
-    np.add.at(net, inv, wts)
-    scale = float(np.max(np.abs(net), initial=0.0))
-    if scale == 0.0:
-        return 0.0
-    keep = np.abs(net) > 1e-15 * scale
-    theta = uniq[keep]
-    c = net[keep]
-    m = theta.size
-    if m == 1:
-        return float(np.abs(c[0]))
+    c, d = _net(mu1, mu2)
+    m = c.size
+    if m < 2:
+        return float(np.sum(np.abs(c)))
 
     from scipy import sparse
 
-    # np.unique sorted theta: row k pairs atom k with its successor, as
+    # _net sorts the atoms: row k pairs atom k with its successor, as
     # f_k - f_{k+1} <= d_k, and row m + k as f_{k+1} - f_k <= d_k
-    d = arc_distance(theta, np.roll(theta, -1))
     k = np.arange(m)
     a_ub = sparse.csr_array(
         (np.repeat([1.0, -1.0, -1.0, 1.0], m),
@@ -135,11 +130,31 @@ def bl_distance(mu1: AtomicSignedMeasure, mu2: AtomicSignedMeasure) -> float:
 
     # HiGHS's tolerances are absolute (1e-7): solve with costs of largest
     # magnitude one and scale the optimum back, or small weights drown.
+    scale = float(np.max(np.abs(c)))
     res = linprog(-c / scale, A_ub=a_ub, b_ub=b_ub, bounds=(-1.0, 1.0),
                   method="highs")
     if not res.success:
         raise RuntimeError(f"bounded-Lipschitz LP failed: {res.message}")
     return float(-res.fun) * scale
+
+
+def _bl_bound(mu1: AtomicSignedMeasure, mu2: AtomicSignedMeasure):
+    """Closed-form bound on ``bl_distance``, and a pad for HiGHS's error.
+
+    With eps = sum c and F = cumsum(c) - eps, summation by parts gives
+    sum c_k f_k <= |eps| + sum d_k |F_k - s| for every s, least at a
+    d-weighted median of F, and exact at eps = 0; the box gives sum |c|.
+    HiGHS's 1e-7 tolerances on the scaled LP lift its value by at most
+    1e-7 (2m + 1) sum |c| (dual l1 norm times violation), under the pad."""
+    c, d = _net(mu1, mu2)
+    tv = float(np.sum(np.abs(c)))
+    if c.size < 2:
+        return tv, 0.0
+    f = np.cumsum(c) - np.sum(c)
+    order = np.argsort(f)
+    s = f[order[np.searchsorted(np.cumsum(d[order]), 0.5 * np.sum(d))]]
+    bound = min(tv, abs(float(np.sum(c))) + float(np.sum(d * np.abs(f - s))))
+    return bound, 1e-6 * c.size * tv
 
 
 @dataclass(frozen=True)
@@ -172,11 +187,20 @@ def path_from_density_slices(times, slices, n_atoms: int) -> MeasurePath:
 
 
 def d_star(path1: MeasurePath, path2: MeasurePath) -> float:
-    """Uniform-in-time bounded-Lipschitz distance over shared snapshots."""
+    """Uniform-in-time bounded-Lipschitz distance over shared snapshots.
+    ``bl_distance`` runs in descending order of the padded ``_bl_bound``s
+    until one is below the largest distance so far, which is the max."""
     if path1.sample_times.size != path2.sample_times.size or \
             not np.allclose(path1.sample_times, path2.sample_times,
                             rtol=0.0, atol=1e-12):
         raise TimeGridMismatch("paths do not share a snapshot grid")
-    return max(bl_distance(a, b)
-               for a, b in zip(path1.snapshots, path2.snapshots))
-
+    if not path1.snapshots:
+        raise ValueError("paths have no snapshots")
+    pairs = list(zip(path1.snapshots, path2.snapshots))
+    ceilings = [sum(_bl_bound(a, b)) for a, b in pairs]
+    best = -np.inf
+    for k in np.argsort(ceilings)[::-1]:
+        if ceilings[k] < best:
+            break
+        best = max(best, bl_distance(*pairs[k]))
+    return best

@@ -96,8 +96,9 @@ def _resolve_grid(pot: Potential, m0, j_cells):
     """Initial density on the grid and its envelope table."""
     m0_arr = np.asarray(m0(np.arange(j_cells) / j_cells)
                         if callable(m0) else m0, dtype=float)
-    if m0_arr.ndim != 1:
-        raise ValueError("initial density must be one-dimensional")
+    if m0_arr.shape != (j_cells or m0_arr.size,):
+        raise ValueError(f"initial density has shape {m0_arr.shape}, the "
+                         f"grid ({j_cells or m0_arr.size},)")
     return m0_arr, EnvelopeTable(pot, np.min(m0_arr), np.max(m0_arr))
 
 

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
 
-from gllab import (AtomicSignedMeasure, LatticeState, MeasurePath,
-                   TimeGridMismatch, bl_distance, d_star, density_to_atoms,
-                   from_state, measures, path_from_density_slices)
-from gllab.measures import arc_distance
+from gllab import (AtomicSignedMeasure, ControlGrid, LatticeState,
+                   MeasurePath, TimeGridMismatch, bl_distance, cfl_time_steps,
+                   contraction_gap, d_star, density_to_atoms, from_state,
+                   measures, path_from_density_slices)
+from gllab.measures import _bl_bound, _net, arc_distance
 
 
 def _delta(loc, w=1.0):
@@ -64,8 +65,9 @@ def test_bl_distance_scales_linearly(rng):
     mu = AtomicSignedMeasure(rng.random(6), rng.standard_normal(6))
     nu = AtomicSignedMeasure(rng.random(6), rng.standard_normal(6))
     base = bl_distance(mu, nu)
-    assert bl_distance(mu.scaled(2.5), nu.scaled(2.5)) == \
-        pytest.approx(2.5 * base, rel=1e-7, abs=1e-9)
+    assert bl_distance(AtomicSignedMeasure(mu.locations, 2.5 * mu.weights),
+                       AtomicSignedMeasure(nu.locations, 2.5 * nu.weights)) \
+        == pytest.approx(2.5 * base, rel=1e-7, abs=1e-9)
 
 
 def test_bl_bounded_by_total_variation(rng):
@@ -88,7 +90,7 @@ def test_from_state_encodes_charges():
     state = LatticeState(np.asarray([4.0, -2.0, 6.0, 0.0]))
     mu = from_state(state)
     assert np.allclose(np.sort(mu.locations), [0.0, 0.25, 0.5, 0.75])
-    assert mu.total_variation() == pytest.approx(3.0)   # sum|x|/N
+    assert np.sum(np.abs(mu.weights)) == pytest.approx(3.0)   # sum|x|/N
     assert mu.pair(lambda th: np.ones_like(th)) == pytest.approx(2.0)
 
 
@@ -160,7 +162,7 @@ def _measure_pairs(draw):
           AtomicSignedMeasure([0.3, 0.35], [0.5, 2.0])))  # shared, packed
 def test_bl_distance_matches_all_pairs_lp(pair):
     mu, nu = pair
-    tv = mu.total_variation() + nu.total_variation()
+    tv = np.sum(np.abs(mu.weights)) + np.sum(np.abs(nu.weights))
     assert abs(bl_distance(mu, nu) - _all_pairs_bl(mu, nu)) <= \
         1e-12 * (1.0 + tv)
 
@@ -219,7 +221,7 @@ def test_bl_distance_at_4096_atoms(rng):
     mu = AtomicSignedMeasure(rng.random(2048), rng.standard_normal(2048))
     nu = AtomicSignedMeasure(rng.random(2048), rng.standard_normal(2048))
     net = abs(np.sum(mu.weights) - np.sum(nu.weights))
-    tv = mu.total_variation() + nu.total_variation()
+    tv = np.sum(np.abs(mu.weights)) + np.sum(np.abs(nu.weights))
     assert net - 1e-9 <= bl_distance(mu, nu) <= tv + 1e-9
 
 
@@ -230,8 +232,9 @@ def test_bl_distance_scales_with_small_weights(rng):
     nu = AtomicSignedMeasure(rng.random(30), rng.standard_normal(30))
     d = bl_distance(mu, nu)
     assert d > 0
-    assert bl_distance(mu.scaled(1e-8), nu.scaled(1e-8)) == \
-        pytest.approx(1e-8 * d, rel=1e-6)
+    assert bl_distance(AtomicSignedMeasure(mu.locations, 1e-8 * mu.weights),
+                       AtomicSignedMeasure(nu.locations, 1e-8 * nu.weights)) \
+        == pytest.approx(1e-8 * d, rel=1e-6)
 
 
 def test_empirical_measure_concentrates(rng):
@@ -266,3 +269,133 @@ def test_path_from_density_slices():
     assert len(path.snapshots) == 2
     assert np.array_equal(path.sample_times, t)
     assert np.allclose(path.pairings(np.ones_like), 0.5)
+
+
+def test_d_star_of_empty_paths_raises():
+    empty = MeasurePath(np.zeros(0), ())
+    with pytest.raises(ValueError):
+        d_star(empty, empty)
+
+
+@st.composite
+def _signed_measure(draw, on_grid, n_atoms=None):
+    """1..40 atoms, signed weights of one scale in 1e-8..10 (a weight may
+    be zero).  On the grid, locations are multiples of 2^-12, so that
+    every gap is far above HiGHS's absolute 1e-7 tolerances; off it, any
+    float in [0, 1)."""
+    n = n_atoms or draw(st.integers(1, 40))
+    locs = (np.asarray(draw(st.lists(st.integers(0, 4095), min_size=n,
+                                     max_size=n))) / 4096 if on_grid else
+            draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                          min_size=n, max_size=n)))
+    scale = 10.0 ** draw(st.integers(-8, 1))
+    wts = draw(st.lists(st.integers(-3000, 3000), min_size=n, max_size=n))
+    return AtomicSignedMeasure(locs, scale / 1000.0 * np.asarray(wts))
+
+
+@st.composite
+def _signed_pairs(draw, on_grid=True):
+    """mu and nu of unequal masses, or nu = mu moved (zero net weight),
+    or single atoms."""
+    mu = draw(_signed_measure(on_grid))
+    kind = draw(st.sampled_from(["free", "moved", "single"]))
+    if kind == "free":
+        return mu, draw(_signed_measure(on_grid))
+    if kind == "single":
+        return (draw(_signed_measure(on_grid, 1)),
+                draw(_signed_measure(on_grid, 1)))
+    shift = draw(st.integers(0, 4095)) / 4096
+    return mu, AtomicSignedMeasure((mu.locations + shift) % 1.0, mu.weights)
+
+
+def _tv(pair):
+    return float(np.sum(np.abs(_net(*pair)[0])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_signed_pairs())
+@example((AtomicSignedMeasure([0.1, 0.6], [1e-8, -1e-8]),
+          AtomicSignedMeasure([0.3], [5e-9])))
+def test_bl_bound_is_never_below_the_lp(pair):
+    assert _bl_bound(*pair)[0] >= bl_distance(*pair) - 1e-12 * _tv(pair)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_signed_pairs(on_grid=False))
+@example((AtomicSignedMeasure([0.0], [0.0]),          # HiGHS returns
+          AtomicSignedMeasure([0.0, 2.0 ** -24], [1.0, 1.0])))  # 2 + 6e-8
+def test_the_padded_bound_covers_highs_at_any_gap(pair):
+    assert sum(_bl_bound(*pair)) >= bl_distance(*pair)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_signed_measure(on_grid=True))
+def test_bl_bound_is_the_lp_at_zero_net_mass(mu):
+    # nu is mu moved: the bound is the circle's W1 distance, which the
+    # box |f| <= 1 does not cut
+    pair = mu, AtomicSignedMeasure((mu.locations + 0.3) % 1.0, mu.weights)
+    assert abs(_bl_bound(*pair)[0] - bl_distance(*pair)) <= 1e-9 * _tv(pair)
+
+
+def _max_over_all(p1, p2):
+    """d* as the max of every snapshot's LP."""
+    return max(bl_distance(a, b) for a, b in zip(p1.snapshots, p2.snapshots))
+
+
+@st.composite
+def _path_pairs(draw):
+    """Paths of 1..6 snapshots whose distances include exact ties
+    (repeated snapshots) and near-ties (weights scaled by 1 + delta,
+    delta from the screen's pad down to 1e-15)."""
+    base = draw(st.lists(_signed_pairs(on_grid=False), min_size=1,
+                         max_size=3))
+    snaps = []
+    for _ in range(draw(st.integers(1, 6))):
+        mu, nu = draw(st.sampled_from(base))
+        delta = draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-6, 1e-4]))
+        snaps.append((AtomicSignedMeasure(mu.locations,
+                                          (1 + delta) * mu.weights),
+                      AtomicSignedMeasure(nu.locations,
+                                          (1 + delta) * nu.weights)))
+    t = np.arange(len(snaps), dtype=float)
+    return (MeasurePath(t, tuple(a for a, _ in snaps)),
+            MeasurePath(t, tuple(b for _, b in snaps)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_path_pairs())
+@example((MeasurePath([0.0, 1.0], (_delta(0.0), _delta(0.0))),
+          MeasurePath([0.0, 1.0], (_delta(0.25), _delta(0.25)))))
+def test_d_star_equals_the_max_over_all_snapshots_bit_for_bit(paths):
+    assert repr(d_star(*paths)) == repr(_max_over_all(*paths))
+
+
+def test_a_monotone_certificate_path_solves_one_lp(gaussian, monkeypatch):
+    # one control pushes, the other is zero: the snapshot distances grow
+    # with t, and their bounds are exact, so d* solves only the last LP
+    j, horizon = 64, 0.1
+    theta = np.arange(j) / j
+    m0 = 0.5 * np.sin(2.0 * np.pi * theta)
+    n_steps = cfl_time_steps(gaussian, m0, j, horizon)
+    push = ControlGrid.from_function(
+        lambda t, th: 0.8 * np.cos(2.0 * np.pi * th), n_steps, j, horizon)
+    still = ControlGrid(np.zeros((n_steps, j)), horizon)
+    paths, calls = [], []
+    solve = measures.linprog
+
+    def keep_path(*args):
+        paths.append(path_from_density_slices(*args))
+        return paths[-1]
+
+    def count(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "path_from_density_slices", keep_path)
+    monkeypatch.setattr(measures, "linprog", count)
+    lhs, _ = contraction_gap(gaussian, m0, push, still)
+    assert len(calls) == 1
+    values = [bl_distance(a, b) for a, b in zip(*(p.snapshots
+                                                  for p in paths))]
+    assert values[0] == 0.0 and np.all(np.diff(values) > 0)
+    assert repr(lhs) == repr(max(values))

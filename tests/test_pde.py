@@ -461,3 +461,11 @@ def test_contraction_gap_warns_once_and_fails_at_the_first_step(gaussian):
         warnings.simplefilter("ignore")
         with pytest.raises(NonFiniteField, match="at step 6$"):
             contraction_gap(gaussian, m0, u1, u2)
+
+
+def test_an_initial_density_that_does_not_fit_the_control_is_named(gaussian):
+    u = ControlGrid(np.zeros((4, 16)), 0.01)
+    for solve in (lambda m0: solve_controlled_pde(gaussian, m0, u),
+                  lambda m0: contraction_gap(gaussian, m0, u, u)):
+        with pytest.raises(ValueError, match=r"\(8,\).*\(16,\)"):
+            solve(np.zeros(8))
