@@ -101,7 +101,13 @@ def _net(mu1: AtomicSignedMeasure, mu2: AtomicSignedMeasure):
 
 
 def bl_distance(mu1: AtomicSignedMeasure, mu2: AtomicSignedMeasure) -> float:
-    """Bounded-Lipschitz distance, solved exactly as a finite LP.
+    """Bounded-Lipschitz distance, solved as a finite LP.
+
+    The LP is exact, but HiGHS solves it only up to its 1e-7 feasibility
+    and optimality tolerances, so atoms closer than that can lift the
+    value by about their gap: for mu1 = 0 and mu2 with unit atoms at 0
+    and 2^-24 the distance is 2, and this returns 2.0000000596046448.
+    ``d_star`` pads its screening bounds by more than that excess.
 
     Atoms of the difference measure with zero net weight are dropped
     first; constraining the remaining values is exact because any

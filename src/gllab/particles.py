@@ -260,9 +260,12 @@ def _run(pot: Potential, config: SimConfig, charges: np.ndarray,
     cost_path = np.empty((s, m))
     logw = np.zeros(m)
     cost = np.zeros(m)
-    x = np.array(charges, dtype=float)
+    x = np.array(charges, dtype=float, order="C")
     dz, db, dlogw = np.empty((m, n)), np.empty((m, n)), np.empty(m)
+    psi_dt, psi_sqdt, last = np.empty((m, n)), np.empty((m, n)), np.empty(m)
     finite = np.empty((m, n), dtype=bool)
+    # a site shift is one op on the flat views; row seams are redone after
+    xf, dzf = x.reshape(-1), dz.reshape(-1)
     k_block = max(1, min(n_steps, NOISE_BLOCK_BYTES // (8 * m * n)))
     fill = getattr(rng, "standard_normal", None)
     # with a generator per row, a block is a (K, M, N) view of an (M, K, N)
@@ -302,13 +305,14 @@ def _run(pot: Potential, config: SimConfig, charges: np.ndarray,
                     i = control.slice_of(k, n_steps)
                     if i != piece:
                         piece, psi = i, rows[i]
-                        psi_dt, psi_sqdt = psi * dt, psi * sqdt
+                        np.multiply(psi, dt, out=psi_dt)
+                        np.multiply(psi, sqdt, out=psi_sqdt)
                         dcost = 0.5 * np.sum(psi ** 2) * dt
                 # dz = ((N*N/2) * (fp[i-1] - fp[i])) * dt + N * (sqrt(dt)
                 # * noise + psi*dt); x = (x + dz) - dz[i+1], in this order
-                fp = np.asarray(pot.phi_prime(x), dtype=float)
-                np.subtract(fp[:, -1], fp[:, 0], out=dz[:, 0])
-                np.subtract(fp[:, :-1], fp[:, 1:], out=dz[:, 1:])
+                fp = np.asarray(pot.phi_prime(x), dtype=float).reshape(-1)
+                np.subtract(fp[:-1], fp[1:], out=dzf[1:])
+                np.subtract(fp[n - 1::n], fp[::n], out=dz[:, 0])
                 dz *= 0.5 * n * n
                 dz *= dt
                 np.multiply(noise, sqdt, out=db)
@@ -317,8 +321,9 @@ def _run(pot: Potential, config: SimConfig, charges: np.ndarray,
                 db *= n
                 dz += db
                 x += dz
-                x[:, :-1] -= dz[:, 1:]
-                x[:, -1] -= dz[:, 0]
+                np.subtract(x[:, -1], dz[:, 0], out=last)
+                xf[:-1] -= dzf[1:]
+                x[:, -1] = last
                 if not np.isfinite(x, out=finite).all():
                     raise NonFiniteState(f"state blew up at step {k + 1}")
                 if control is not None:

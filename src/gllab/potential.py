@@ -401,6 +401,7 @@ class Potential:
             table = np.concatenate(
                 [[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * self._dy)])
             table /= table[-1]
+            table.flags.writeable = False       # samplers share it
             self._remember(self._tilt_tables, key, table)
         return table
 
@@ -443,7 +444,8 @@ class TiltedFamilySampler:
         else:
             self._lams = np.linspace(self._lam_min, self._lam_max,
                                      FAMILY_TILTS)
-        self._cdfs = np.stack([pot._tilt_cdf(l) for l in self._lams])
+        # the potential's cached rows themselves, not a copy
+        self._cdfs = [pot._tilt_cdf(l) for l in self._lams]
 
     def sample(self, lam, rng):
         """Draw one sample per entry of lam (array-valued tilt)."""

@@ -301,40 +301,46 @@ def ldp_trend_study(pot: Potential, functional: Functional,
     is the smallest F + rate over the same targets, which makes it an
     upper estimate of the infimum.  Individual estimator reports are
     appended to ``report_sink`` when one is supplied.
+
+    Each of ``workers`` threads runs one member at a time: its steering
+    plan and tilted profile live only while its bounds run at every N.
+    Every batch has its own child stream, so the order moves no output.
     """
-    plans = [steering_plan(pot, v, horizon, functional.test_function)
-             for v in targets]
-    limit_value = min(
-        functional.from_pairings(p.limit_pairing[:, None])[0] + p.rate_total
-        for p in plans)
-
     seeds = np.random.SeedSequence(seed).spawn(len(n_list))
+    streams = [s.spawn(1 + len(targets)) for s in seeds]
+    configs = [SimConfig(n, horizon, stable_dt(pot, n), seed=seed)
+               for n in n_list]
+    laps = [laplace_functional_mc(pot, functional, config,
+                                  equilibrium_profile(pot), n_replicas,
+                                  rng=np.random.default_rng(s[0]))
+            for config, s in zip(configs, streams)]
+
+    def member(idx):
+        plan = steering_plan(pot, targets[idx], horizon,
+                             functional.test_function)
+        value = (functional.from_pairings(plan.limit_pairing[:, None])[0]
+                 + plan.rate_total)
+        return value, [variational_upper_bound(
+            pot, functional, plan.control_grid.resample(c.n_sites, c.n_sites),
+            plan.profile, c, n_replicas,
+            rng=np.random.default_rng(s[1 + idx]))
+            for c, s in zip(configs, streams)]
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            members = list(pool.map(member, range(len(targets))))
+    else:
+        members = [member(idx) for idx in range(len(targets))]
+    limit_value = min(value for value, _ in members)
+
     rows = []
-    for pos, n in enumerate(n_list):
-        streams = seeds[pos].spawn(1 + len(plans))
-        config = SimConfig(n, horizon, stable_dt(pot, n), seed=seed)
-        lap = laplace_functional_mc(
-            pot, functional, config, equilibrium_profile(pot), n_replicas,
-            rng=np.random.default_rng(streams[0]))
-
-        def bound_for(task):
-            idx, plan = task
-            control = plan.control_grid.resample(n, n)
-            return variational_upper_bound(
-                pot, functional, control, plan.profile, config, n_replicas,
-                rng=np.random.default_rng(streams[1 + idx]))
-
-        tasks = list(enumerate(plans))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(bound_for, tasks))
-        else:
-            reports = [bound_for(t) for t in tasks]
+    for pos, lap in enumerate(laps):
+        reports = [bounds[pos] for _, bounds in members]
         best = min(reports, key=lambda r: r.estimate)
         if report_sink is not None:
             report_sink.append(lap)
             report_sink.extend(reports)
-        rows.append(TrendRow(n, lap.estimate, lap.std_error,
+        rows.append(TrendRow(lap.n_sites, lap.estimate, lap.std_error,
                              best.estimate, best.std_error, limit_value))
     return rows
 

@@ -270,6 +270,19 @@ def test_family_sampler_matches_per_tilt_sampler(gaussian, rng):
         assert abs(row.var() - 1.0) < 6 * se
 
 
+def test_samplers_share_the_cached_cdf_rows():
+    # two samplers over one tilt range hold the cache's arrays, not
+    # copies, so the cache marks them read-only
+    pot = gaussian_potential()
+    first = TiltedFamilySampler(pot, -0.5, 0.5)
+    second = TiltedFamilySampler(pot, -0.5, 0.5)
+    assert len(first._cdfs) == potential_mod.FAMILY_TILTS
+    for lam, row, other in zip(first._lams, first._cdfs, second._cdfs):
+        assert row is other
+        assert row is pot._tilt_tables[float(np.round(lam, 12))]
+        assert not row.flags.writeable
+
+
 CAP = potential_mod.BRACKET_CAP
 
 

@@ -1,16 +1,19 @@
 """Estimators for exponential functionals and their variational bounds."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gllab import (DegenerateEstimate, ExperimentReport, Functional,
-                   SimConfig, equilibrium_profile,
-                   importance_sampled_expectation, laplace_functional_mc,
-                   ldp_trend_study, plain_expectation, sine_target_field,
-                   stable_dt, steering_plan, tilted_sine_profile, trend_gaps,
-                   variational_upper_bound)
+                   SimConfig, TrendRow, equilibrium_profile,
+                   gaussian_potential, importance_sampled_expectation,
+                   laplace_functional_mc, ldp_trend_study, plain_expectation,
+                   sine_target_field, stable_dt, steering_plan,
+                   tilted_sine_profile, trend_gaps, variational_upper_bound)
+from gllab.potential import FAMILY_TILTS
 
 
 def _sin_fn(th):
@@ -188,3 +191,66 @@ def test_trend_study_with_workers_matches_serial(gaussian):
                                workers=2)
     assert serial[0].laplace == pytest.approx(threaded[0].laplace)
     assert serial[0].variational == pytest.approx(threaded[0].variational)
+
+
+def _size_major_trend_study(pot, fun, n_list, horizon, n_replicas, targets,
+                            seed):
+    """The trend study in N-major order: every steering plan first, then
+    per N the Laplace batch and one bound per target, each batch from its
+    own child of the N's seed."""
+    plans = [steering_plan(pot, v, horizon, fun.test_function)
+             for v in targets]
+    limit = min(fun.from_pairings(p.limit_pairing[:, None])[0] + p.rate_total
+                for p in plans)
+    rows, reports = [], []
+    sizes = zip(n_list, np.random.SeedSequence(seed).spawn(len(n_list)))
+    for n, child in sizes:
+        streams = child.spawn(1 + len(plans))
+        config = SimConfig(n, horizon, stable_dt(pot, n), seed=seed)
+        lap = laplace_functional_mc(pot, fun, config, equilibrium_profile(pot),
+                                    n_replicas,
+                                    rng=np.random.default_rng(streams[0]))
+        bounds = [variational_upper_bound(
+            pot, fun, p.control_grid.resample(n, n), p.profile, config,
+            n_replicas, rng=np.random.default_rng(s))
+            for p, s in zip(plans, streams[1:])]
+        best = min(bounds, key=lambda r: r.estimate)
+        reports += [lap] + bounds
+        rows.append(TrendRow(n, lap.estimate, lap.std_error, best.estimate,
+                             best.std_error, limit))
+    return rows, reports
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_trend_study_matches_the_size_major_order(gaussian, workers):
+    fun = _quadratic_functional(center=0.2, bound=16.0)
+    args = (gaussian, fun, [4, 8], 0.05, 64, [0.1, 0.15, 0.2])
+    ref_rows, ref_reports = _size_major_trend_study(*args, seed=13)
+    sink = []
+    rows = ldp_trend_study(*args, seed=13, workers=workers, report_sink=sink)
+    assert rows == ref_rows
+
+    def timeless(reports):
+        return [dataclasses.replace(r, wall_time=0.0) for r in reports]
+
+    assert timeless(sink) == timeless(ref_reports)
+
+
+def test_trend_study_memory_does_not_grow_with_the_family():
+    # the study keeps one member's tilted profile alive at a time, so four
+    # more targets cost less than one profile's CDF rows
+    fun = _quadratic_functional(center=0.2, bound=16.0)
+
+    def peak(targets):
+        pot = gaussian_potential()
+        tracemalloc.start()
+        try:
+            ldp_trend_study(pot, fun, [4], 0.05, 16, targets, seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_profile = FAMILY_TILTS * gaussian_potential().quadrature.node_count * 8
+    six = peak([0.05, 0.1, 0.15, 0.2, 0.25, 0.3])
+    two = peak([0.05, 0.1])
+    assert six - two < one_profile
