@@ -2,21 +2,22 @@
 
 The empirical field of a lattice state is the signed measure placing mass
 X_i/N at location i/N.  Distances use the bounded-Lipschitz dual norm
-(Dudley, Real Analysis and Probability, ch. 11), computed exactly as a
-finite linear program over the test-function values f_k at the sorted atom
-locations theta_k: |f_k| <= 1, and |f_k - f_{k+1}| <= d_arc(theta_k,
-theta_{k+1}) for cyclically adjacent atoms only.  Chained along the shorter
-arc, the neighbour rows give the Lipschitz bound for every pair (see
-``bl_distance``), so the LP has O(m) rows and needs no atom cap.  Path
-distance is the max over shared snapshot times, solved only at snapshots
-whose closed-form bound (``_bl_bound``, exact at zero net mass) can set it.
-
-scipy's LP solver is imported on the first solve, not with this module:
-it is most of the package's import time, and most runs never solve an LP.
+(Dudley, Real Analysis and Probability, ch. 11): the sup of sum c_k f_k
+over test-function values f_k at the sorted atoms theta_k of the net
+measure, with |f_k| <= 1 and |f_k - f_{k+1}| <= d_arc(theta_k,
+theta_{k+1}) for cyclically adjacent atoms (chained along the shorter arc,
+these give the Lipschitz bound for every pair).  ``bl_distance`` solves
+that finite LP without a solver, exact up to float rounding: by duality it
+is a weighted-L1 isotonic fit of the cumulative weights (see
+``bl_distance``), found in O(m log m) time and O(m) memory, with no atom
+cap.  Path distance is the max over shared snapshot times, solved only at
+snapshots whose closed-form bound (``_bl_bound``, exact at zero net mass)
+can set it.  No code path imports scipy.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -40,8 +41,11 @@ class AtomicSignedMeasure:
                            np.asarray(self.weights, dtype=float))
         if self.locations.shape != self.weights.shape or self.locations.ndim != 1:
             raise ValueError("locations and weights must be matching 1-d arrays")
-        if np.any((self.locations < 0) | (self.locations >= 1)):
+        # written so that NaN fails too
+        if not np.all((self.locations >= 0) & (self.locations < 1)):
             raise ValueError("locations must lie in [0, 1)")
+        if not np.all(np.isfinite(self.weights)):
+            raise ValueError("weights must be finite")
 
     @property
     def n_atoms(self) -> int:
@@ -83,6 +87,7 @@ def arc_distance(a, b):
     return np.minimum(d, 1.0 - d)
 
 
+# gllab never calls this; perfbench/spans.py wraps it by name.
 def linprog(*args, **kwargs):
     """``scipy.optimize.linprog``, imported on the first call."""
     from scipy.optimize import linprog as solve
@@ -100,58 +105,83 @@ def _net(mu1: AtomicSignedMeasure, mu2: AtomicSignedMeasure):
     return net[keep], arc_distance(theta, np.roll(theta, -1))
 
 
+def _isotonic_l1(p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Non-decreasing s minimizing sum w_k |s_k - p_k|, for w > 0.
+
+    Slope trick: a max-heap holds the breakpoints of g_k(x), the least
+    cost of s_0 <= ... <= s_k <= x, with the slope change at each.  Adding
+    w_k |x - p_k| puts 2 w_k at p_k; taking the running min removes w_k of
+    slope from the right.  The top is then an argmin of step k's cost, and
+    s is the suffix minimum of the tops.  O(m log m) time, O(m) memory; a
+    strictly decreasing p (one pooled block) is no worse.
+    """
+    heap, top = [], np.empty(p.size)
+    for k, (x, wk) in enumerate(zip(p.tolist(), w.tolist())):
+        heapq.heappush(heap, [-x, 2.0 * wk])
+        excess = wk      # below the new entry's 2 wk: the heap never empties
+        while heap[0][1] <= excess:
+            excess -= heapq.heappop(heap)[1]
+        heap[0][1] -= excess
+        top[k] = -heap[0][0]
+    return np.minimum.accumulate(top[::-1])[::-1]
+
+
 def bl_distance(mu1: AtomicSignedMeasure, mu2: AtomicSignedMeasure) -> float:
-    """Bounded-Lipschitz distance, solved as a finite LP.
+    """Bounded-Lipschitz distance, exact up to float rounding.
 
-    The LP is exact, but HiGHS solves it only up to its 1e-7 feasibility
-    and optimality tolerances, so atoms closer than that can lift the
-    value by about their gap: for mu1 = 0 and mu2 with unit atoms at 0
-    and 2^-24 the distance is 2, and this returns 2.0000000596046448.
-    ``d_star`` pads its screening bounds by more than that excess.
+    With c the net weights at the sorted atoms (zero-net atoms dropped: any
+    feasible assignment extends to the circle with the same bounds), d the
+    cyclic arc gaps, P = cumsum(c) and eps = sum c, the LP's dual is a
+    transport: min over s of sum d_k |s_k - P_k| plus the cyclic total
+    variation of s with twist eps, |s_0 - s_last + eps| + sum |s_k - s_{k-1}|.
+    Flip c so that eps >= 0.  Then:
 
-    Atoms of the difference measure with zero net weight are dropped
-    first; constraining the remaining values is exact because any
-    feasible assignment extends to the full circle with the same bound
-    and Lipschitz constant.  Of the Lipschitz rows, only those between
-    cyclic neighbours k, k+1 in sorted order are kept: chained along the
-    shorter arc between any pair, they give that pair's row, because
-    each neighbour's d_arc is at most its gap.  So the LP is exact with
-    2m rows instead of m(m-1).
+    - A descent of total D in s costs 2D more variation than eps; the
+      running max of s, capped at s_0 + eps, moves no s_k by more than D,
+      so it saves 2D and loses at most D sum d <= D (sum d <= 1).  Hence
+      some optimal s is non-decreasing with s_last - s_first <= eps, and
+      the distance is eps + min sum d_k |s_k - P_k| over such s.
+    - For s confined to [a, a + eps], the weighted-L1 isotonic fit of P,
+      clipped to the box, is optimal (the L1 cost splits into threshold
+      problems, one per level, which clipping leaves optimal inside the
+      box).  The cost G(a) is convex and piecewise linear, with breakpoints
+      at s_k, P_k and both minus eps; its least value is where its slope,
+      a sum of steps at those points, first turns non-negative.
+
+    At eps = 0 this is the circle's W1 distance, which ``_bl_bound`` gives
+    in closed form.  No m x m array is formed.
     """
     c, d = _net(mu1, mu2)
-    m = c.size
-    if m < 2:
+    if c.size < 2:
         return float(np.sum(np.abs(c)))
-
-    from scipy import sparse
-
-    # _net sorts the atoms: row k pairs atom k with its successor, as
-    # f_k - f_{k+1} <= d_k, and row m + k as f_{k+1} - f_k <= d_k
-    k = np.arange(m)
-    a_ub = sparse.csr_array(
-        (np.repeat([1.0, -1.0, -1.0, 1.0], m),
-         (np.concatenate([k, k, k + m, k + m]),
-          np.concatenate([k, (k + 1) % m] * 2))), shape=(2 * m, m))
-    b_ub = np.concatenate([d, d])
-
-    # HiGHS's tolerances are absolute (1e-7): solve with costs of largest
-    # magnitude one and scale the optimum back, or small weights drown.
-    scale = float(np.max(np.abs(c)))
-    res = linprog(-c / scale, A_ub=a_ub, b_ub=b_ub, bounds=(-1.0, 1.0),
-                  method="highs")
-    if not res.success:
-        raise RuntimeError(f"bounded-Lipschitz LP failed: {res.message}")
-    return float(-res.fun) * scale
+    eps = float(np.sum(c))
+    if eps < 0.0:
+        c, eps = -c, -eps
+    p = np.cumsum(c)
+    s = _isotonic_l1(p, d)
+    # G'(a) = sum over s_k < a of d_k sign(a - P_k), plus sum over
+    # s_k > a + eps of d_k sign(a + eps - P_k): -sum d at a = -inf
+    up, down = p > s, p < s
+    at = np.concatenate([s, p, s - eps, p - eps])
+    jump = np.concatenate([np.where(up, -d, d), np.where(up, 2.0 * d, 0.0),
+                           np.where(down, -d, d),
+                           np.where(down, 2.0 * d, 0.0)])
+    order = np.lexsort((jump, at))     # at a tie, falls before rises
+    slope = np.cumsum(jump[order]) - np.sum(d)
+    a = at[order[np.argmax(slope >= 0.0)]]
+    return eps + float(np.sum(d * np.abs(np.clip(s, a, a + eps) - p)))
 
 
 def _bl_bound(mu1: AtomicSignedMeasure, mu2: AtomicSignedMeasure):
-    """Closed-form bound on ``bl_distance``, and a pad for HiGHS's error.
+    """Closed-form bound on ``bl_distance``, and a pad for float rounding.
 
     With eps = sum c and F = cumsum(c) - eps, summation by parts gives
     sum c_k f_k <= |eps| + sum d_k |F_k - s| for every s, least at a
-    d-weighted median of F, and exact at eps = 0; the box gives sum |c|.
-    HiGHS's 1e-7 tolerances on the scaled LP lift its value by at most
-    1e-7 (2m + 1) sum |c| (dual l1 norm times violation), under the pad."""
+    d-weighted median of F; this is ``bl_distance``'s dual with s held
+    constant, so it is exact at eps = 0.  The box gives sum |c|.  The two
+    closed forms round differently; the pad 1e-6 m sum |c| is far above
+    that rounding (about 1e-16 m sum |c|), so the padded bound never falls
+    below the distance."""
     c, d = _net(mu1, mu2)
     tv = float(np.sum(np.abs(c)))
     if c.size < 2:
