@@ -28,8 +28,8 @@ from .potential import (EnvelopeTable, Potential, QuadratureSpec,
 from .rare_events import (ExperimentReport, Functional, SteeringPlan,
                           TrendRow, importance_sampled_expectation,
                           laplace_functional_mc, ldp_trend_study,
-                          plain_expectation, sine_target_field, steering_plan,
-                          trend_gaps, variational_upper_bound)
+                          sine_target_field, steering_plan, trend_gaps,
+                          variational_upper_bound)
 from .rate import RateDecomposition, initial_cost, minimal_control, rate
 
 __version__ = "0.1.0"

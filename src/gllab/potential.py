@@ -22,6 +22,7 @@ import itertools
 import math
 import threading
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,10 +57,6 @@ FAMILY_TILTS = 129
 # Bytes of one row block of tilted integrands: 32 rows at the default 4096
 # nodes, about half of a 2 MB per-core L2 cache.
 STATS_BLOCK_BYTES = 1 << 20
-
-# Tilt CDFs a Potential keeps before it drops its oldest: at most 8 MB at
-# the default quadrature.
-CACHE_ENTRIES = 256
 
 
 def _trapezoid(q: "QuadratureSpec", node_count: int):
@@ -133,8 +130,8 @@ class Potential:
 
     Instances are safe to share across threads.  Their only mutable state
     is two caches of deterministic results, filled under one lock: the
-    tilted-sampling CDFs (``_tilt_tables``, oldest dropped past
-    ``CACHE_ENTRIES``) and the envelope chunks (``_chunks``, see
+    tilted-sampling CDFs (``_tilt_tables``, weakly held, so a row lives
+    while some sampler holds it) and the envelope chunks (``_chunks``, see
     :meth:`_envelope`); two threads computing one key store equal values.
     No method keeps scratch state: kernels allocate buffers per call.
     """
@@ -158,8 +155,8 @@ class Potential:
         self._check_doubling(phi, z)
         self.normalization_offset = z
         self._raw_phi = phi
-        self._raw_phi_prime = phi_prime
-        self._raw_phi_double_prime = phi_double_prime
+        self.phi_prime = phi_prime
+        self.phi_double_prime = phi_double_prime
 
         self._phi_grid = raw + z          # normalized phi on the grid
         self._phi_prime_grid = np.asarray(phi_prime(y), dtype=float)
@@ -170,7 +167,7 @@ class Potential:
             g = sigma * np.abs(self._phi_prime_grid) - self._phi_grid
             self._tail_checked_logsumexp(g, f"sigma moment check (sigma={sigma})")
 
-        self._tilt_tables: dict[float, np.ndarray] = {}
+        self._tilt_tables = weakref.WeakValueDictionary()
         self._chunks: dict[int, tuple | Exception] = {}
         self._cache_lock = threading.Lock()
 
@@ -180,27 +177,13 @@ class Potential:
         """Normalized potential value."""
         return np.asarray(self._raw_phi(x)) + self.normalization_offset
 
-    def phi_prime(self, x):
-        return self._raw_phi_prime(x)
-
-    def phi_double_prime(self, x):
-        return self._raw_phi_double_prime(x)
-
     def max_phi_double_prime(self):
         """Max curvature over the probe range |x| <= 8, used by stability
         rules."""
         mask = np.abs(self._y) <= 8.0
-        return float(np.max(np.abs(self._raw_phi_double_prime(self._y[mask]))))
+        return float(np.max(np.abs(self.phi_double_prime(self._y[mask]))))
 
     # -- quadrature helpers --------------------------------------------
-
-    def _remember(self, cache, key, value):
-        """Store ``value`` under ``key``, dropping the oldest entries past
-        ``CACHE_ENTRIES``."""
-        with self._cache_lock:
-            cache[key] = value
-            while len(cache) > CACHE_ENTRIES:
-                del cache[next(iter(cache))]
 
     def _check_doubling(self, phi, z_coarse):
         y2, logw2 = _trapezoid(self.quadrature,
@@ -391,7 +374,8 @@ class Potential:
     # -- tilted sampling -------------------------------------------------
 
     def _tilt_cdf(self, lam):
-        """Tabulated CDF of the lam-tilted density on the grid (cached)."""
+        """Tabulated CDF of the lam-tilted density on the grid, cached for
+        as long as some caller holds it."""
         key = float(np.round(lam, 12))
         table = self._tilt_tables.get(key)
         if table is None:
@@ -402,7 +386,8 @@ class Potential:
                 [[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * self._dy)])
             table /= table[-1]
             table.flags.writeable = False       # samplers share it
-            self._remember(self._tilt_tables, key, table)
+            with self._cache_lock:
+                table = self._tilt_tables.setdefault(key, table)
         return table
 
     # -- cutoff local-equilibrium average --------------------------------

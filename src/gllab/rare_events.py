@@ -12,6 +12,11 @@ on the Laplace functional at the same N; the trend study tracks how the
 best bound from a parametric control family approaches the plain Monte
 Carlo estimate as N grows, with the smallest F + rate over the family
 alongside (an upper estimate of the deterministic limit inf {F + rate}).
+
+Both sides of the identity, and the Girsanov reweighting between them,
+are reductions of one controlled replica batch: each estimator hands the
+core ``_estimate`` a map from (F per replica, ``ReplicaBatch``) to an
+estimate and its standard error.
 """
 
 from __future__ import annotations
@@ -25,10 +30,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateEstimate
-from .particles import (ControlGrid, ProfileMeasure, ReplicaBatch,
-                        SimConfig, entropy_cost_of_profile,
-                        equilibrium_profile, simulate_replicas, stable_dt,
-                        tilted_profile)
+from .particles import (ControlGrid, ProfileMeasure, SimConfig,
+                        entropy_cost_of_profile, equilibrium_profile,
+                        simulate_replicas, stable_dt, tilted_profile)
 from .pde import DensityField, cfl_time_steps
 from .potential import Potential
 from .rate import rate
@@ -100,8 +104,14 @@ def _mean_and_se(samples: np.ndarray) -> tuple[float, float]:
     return float(np.mean(samples)), se
 
 
-def _run_batch(pot, config, profile, n_replicas, functional, control=None,
-               rng=None) -> tuple[ReplicaBatch, np.ndarray]:
+def _estimate(method, reduce, pot, functional, config, profile,
+              n_replicas, control, rng) -> ExperimentReport:
+    """The one estimator core: run a batch, check F, time and report.
+
+    ``reduce(F, batch)`` maps the per-replica functional values and the
+    batch (Girsanov log weights, control costs) to (estimate, std_error).
+    """
+    start = _time.perf_counter()
     batch = simulate_replicas(
         pot, config, profile, n_replicas, control=control,
         sample_times=_snapshot_times(config, functional),
@@ -109,7 +119,10 @@ def _run_batch(pot, config, profile, n_replicas, functional, control=None,
     f_vals = functional.from_pairings(batch.pairings[0])
     if not np.all(np.isfinite(f_vals)):
         raise DegenerateEstimate("functional produced non-finite values")
-    return batch, f_vals
+    estimate, std_error = reduce(f_vals, batch)
+    return ExperimentReport(method, config.n_sites, n_replicas, estimate,
+                            std_error, _time.perf_counter() - start,
+                            config.seed)
 
 
 def laplace_functional_mc(pot: Potential, functional: Functional,
@@ -123,54 +136,38 @@ def laplace_functional_mc(pot: Potential, functional: Functional,
     whenever any replica contributes weight; a vanishing or non-finite
     weight mass raises DegenerateEstimate instead of returning NaN.
     """
-    start = _time.perf_counter()
-    _, f_vals = _run_batch(pot, config, profile, n_replicas, functional,
-                           rng=rng)
     n = config.n_sites
-    a = -n * f_vals
-    shift = float(np.max(a))
-    w = np.exp(a - shift)
-    mean_w = float(np.mean(w))
-    if not (mean_w > 0 and math.isfinite(mean_w)):
-        raise DegenerateEstimate("all exponential weights vanished")
-    sd_w = float(np.std(w, ddof=1)) if n_replicas > 1 else 0.0
-    estimate = -(shift + math.log(mean_w)) / n
-    std_error = sd_w / (math.sqrt(n_replicas) * mean_w * n)
-    return ExperimentReport("laplace_mc", n, n_replicas, estimate, std_error,
-                            _time.perf_counter() - start, config.seed)
+
+    def reduce(f_vals, _):
+        a = -n * f_vals
+        shift = float(np.max(a))
+        w = np.exp(a - shift)
+        mean_w = float(np.mean(w))
+        if not (mean_w > 0 and math.isfinite(mean_w)):
+            raise DegenerateEstimate("all exponential weights vanished")
+        sd_w = float(np.std(w, ddof=1)) if n_replicas > 1 else 0.0
+        return (-(shift + math.log(mean_w)) / n,
+                sd_w / (math.sqrt(n_replicas) * mean_w * n))
+
+    return _estimate("laplace_mc", reduce, pot, functional, config, profile,
+                     n_replicas, None, rng)
 
 
 def importance_sampled_expectation(pot: Potential, functional: Functional,
-                                   control: ControlGrid,
+                                   control: ControlGrid | None,
                                    config: SimConfig,
                                    profile: ProfileMeasure,
                                    n_replicas: int,
                                    rng: np.random.Generator | None = None
                                    ) -> ExperimentReport:
     """Estimate E[G] under the uncontrolled law by reweighting controlled
-    replicas with the Girsanov factor exp(log dP/dPbar)."""
-    start = _time.perf_counter()
-    batch, g_vals = _run_batch(pot, config, profile, n_replicas, functional,
-                               control=control, rng=rng)
-    estimate, std_error = _mean_and_se(g_vals * np.exp(batch.log_weights))
-    return ExperimentReport("importance_sampling", config.n_sites, n_replicas,
-                            estimate, std_error,
-                            _time.perf_counter() - start, config.seed)
+    replicas with the Girsanov factor exp(log dP/dPbar); with no control
+    every factor is exp(0) = 1 and this is the plain sample mean."""
+    def reduce(g_vals, batch):
+        return _mean_and_se(g_vals * np.exp(batch.log_weights))
 
-
-def plain_expectation(pot: Potential, functional: Functional,
-                      config: SimConfig, profile: ProfileMeasure,
-                      n_replicas: int,
-                      rng: np.random.Generator | None = None
-                      ) -> ExperimentReport:
-    """Control-free companion estimator of E[G] for consistency checks."""
-    start = _time.perf_counter()
-    _, g_vals = _run_batch(pot, config, profile, n_replicas, functional,
-                           rng=rng)
-    estimate, std_error = _mean_and_se(g_vals)
-    return ExperimentReport("plain_mc", config.n_sites, n_replicas, estimate,
-                            std_error, _time.perf_counter() - start,
-                            config.seed)
+    return _estimate("importance_sampling", reduce, pot, functional, config,
+                     profile, n_replicas, control, rng)
 
 
 def variational_upper_bound(pot: Potential, functional: Functional,
@@ -184,17 +181,14 @@ def variational_upper_bound(pot: Potential, functional: Functional,
     By the control representation this upper-bounds the Laplace functional
     at the same N, up to Monte Carlo error on the mean.
     """
-    start = _time.perf_counter()
-    batch, f_vals = _run_batch(pot, config, profile, n_replicas, functional,
-                               control=control, rng=rng)
-    entropy = entropy_cost_of_profile(profile, config.n_sites)
-    # batch.costs sums over sites; the bound lives in per-site units
-    samples = batch.costs / config.n_sites + f_vals
-    mean, std_error = _mean_and_se(samples)
-    estimate = entropy + mean
-    return ExperimentReport("variational_bound", config.n_sites, n_replicas,
-                            estimate, std_error,
-                            _time.perf_counter() - start, config.seed)
+    def reduce(f_vals, batch):
+        entropy = entropy_cost_of_profile(profile, config.n_sites)
+        # batch.costs sums over sites; the bound lives in per-site units
+        mean, std_error = _mean_and_se(batch.costs / config.n_sites + f_vals)
+        return entropy + mean, std_error
+
+    return _estimate("variational_bound", reduce, pot, functional, config,
+                     profile, n_replicas, control, rng)
 
 
 # -- steering paths and control families -------------------------------------

@@ -7,6 +7,7 @@ potential exercises the same code where no closed form exists, checked
 through identities that hold for any potential.
 """
 
+import gc
 import math
 import os
 import subprocess
@@ -524,15 +525,26 @@ def test_threads_building_one_range_agree():
     assert set(pot._chunks) == set(range(-3, 9))
 
 
-def test_caches_are_bounded(monkeypatch):
-    monkeypatch.setattr(potential_mod, "CACHE_ENTRIES", 4)
+def test_caches_are_bounded():
     pot = gaussian_potential()
+    # a tilt-CDF row stays cached only while something holds it
     lams = np.linspace(-1.0, 1.0, 10)
+    keys = [float(np.round(lam, 12)) for lam in lams]
     cdfs = [pot._tilt_cdf(lam) for lam in lams]
-    assert list(pot._tilt_tables) == [float(np.round(l, 12))
-                                      for l in lams[-4:]]
-    for lam, cdf in zip(lams, cdfs):            # an evicted CDF comes back
-        assert np.array_equal(pot._tilt_cdf(lam), cdf)
+    assert sorted(pot._tilt_tables) == keys
+    dropped = [cdf.tobytes() for cdf in cdfs]
+    kept = cdfs[3]
+    del cdfs
+    gc.collect()
+    assert list(pot._tilt_tables) == [keys[3]]
+    assert pot._tilt_cdf(lams[3]) is kept
+    del kept
+    gc.collect()
+    assert len(pot._tilt_tables) == 0
+    for lam, old in zip(lams, dropped):         # a rebuilt row is the same
+        assert pot._tilt_cdf(lam).tobytes() == old
+    gc.collect()
+    assert len(pot._tilt_tables) == 0
     # the envelope memo keeps only the 97 quarter-unit chunks that start
     # inside the quadrature window [-12, 12], however far values reach
     with pytest.warns(UserWarning):
@@ -541,20 +553,30 @@ def test_caches_are_bounded(monkeypatch):
         EnvelopeTable(pot, 0.0, 40.0)
     assert set(pot._chunks) == set(range(-48, 49))
 
-    # more threads than cores inserting and evicting the same keys, with
-    # frequent thread switches: no insert fails, the cap holds, and every
-    # key keeps its own value
-    errors = []
 
-    def insert(offset):
+def test_threads_share_one_tilt_row_per_live_key():
+    # more threads than cores asking for the same keys, dropping their rows
+    # now and then, with frequent thread switches: no call fails, and while
+    # a thread holds a row every call for its key returns that object
+    pot = gaussian_potential()
+    lams = np.linspace(-1.0, 1.0, 7)
+    errors, finals = [], []
+
+    def ask(offset):
         try:
+            held = {}
             for i in range(3000):
                 key = (i + offset) % 7
-                pot._remember(pot._tilt_tables, key, key)
+                if i % 50 == 0:
+                    held.clear()
+                row = pot._tilt_cdf(lams[key])
+                assert not row.flags.writeable
+                assert held.setdefault(key, row) is row
+            finals.append(held)
         except Exception as exc:              # pragma: no cover
             errors.append(exc)
 
-    threads = [threading.Thread(target=insert, args=(i,)) for i in range(4)]
+    threads = [threading.Thread(target=ask, args=(i,)) for i in range(4)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -565,8 +587,13 @@ def test_caches_are_bounded(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert errors == [] and len(pot._tilt_tables) == 4
-    assert all(key == value for key, value in pot._tilt_tables.items())
+    assert errors == [] and len(finals) == 4
+    # rows the threads still hold are the cache's own, one per key
+    for key, lam in enumerate(lams):
+        assert {id(held[key]) for held in finals} == {id(pot._tilt_cdf(lam))}
+    del finals
+    gc.collect()
+    assert len(pot._tilt_tables) == 0
 
 
 # answers past each potential's resolvable edge (6.25 and 3.75 at the

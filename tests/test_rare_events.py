@@ -6,13 +6,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gllab import (DegenerateEstimate, ExperimentReport, Functional,
-                   SimConfig, TrendRow, equilibrium_profile,
-                   gaussian_potential, importance_sampled_expectation,
-                   laplace_functional_mc, ldp_trend_study, plain_expectation,
-                   sine_target_field, stable_dt, steering_plan,
-                   tilted_sine_profile, trend_gaps, variational_upper_bound)
+from gllab import (ControlGrid, DegenerateEstimate, ExperimentReport,
+                   Functional, SimConfig, TrendRow, entropy_cost_of_profile,
+                   equilibrium_profile, gaussian_potential,
+                   importance_sampled_expectation, laplace_functional_mc,
+                   ldp_trend_study, sine_target_field, simulate_replicas,
+                   stable_dt, steering_plan, tilted_sine_profile, trend_gaps,
+                   variational_upper_bound)
 from gllab.potential import FAMILY_TILTS
 
 
@@ -55,8 +58,8 @@ def test_laplace_below_plain_mean(gaussian):
     prof = equilibrium_profile(gaussian)
     lap = laplace_functional_mc(gaussian, fun, cfg, prof, 5000,
                                 rng=np.random.default_rng(1))
-    plain = plain_expectation(gaussian, fun, cfg, prof, 5000,
-                              rng=np.random.default_rng(2))
+    plain = importance_sampled_expectation(gaussian, fun, None, cfg, prof,
+                                           5000, rng=np.random.default_rng(2))
     slack = 4.0 * (lap.std_error + plain.std_error)
     assert lap.estimate <= plain.estimate + slack
 
@@ -73,8 +76,9 @@ def test_importance_sampling_agrees_with_plain_mc(gaussian):
     prof = equilibrium_profile(gaussian)
     plan = steering_plan(gaussian, 0.3, horizon, _sin_fn)
     ctrl = _embed(plan.control_grid, n)
-    plain = plain_expectation(gaussian, fun, cfg, prof, 40000,
-                              rng=np.random.default_rng(5))
+    plain = importance_sampled_expectation(gaussian, fun, None, cfg, prof,
+                                           40000,
+                                           rng=np.random.default_rng(5))
     tilted = importance_sampled_expectation(gaussian, fun, ctrl, cfg, prof,
                                             40000,
                                             rng=np.random.default_rng(6))
@@ -96,6 +100,76 @@ def test_variational_bound_dominates_laplace(gaussian):
     slack = 4.0 * (lap.std_error + bound.std_error)
     assert bound.estimate >= lap.estimate - slack
     assert bound.method == "variational_bound"
+
+
+@pytest.fixture(scope="module")
+def profiles(gaussian):
+    return {"equilibrium": equilibrium_profile(gaussian),
+            "tilted": tilted_sine_profile(gaussian, 0.3)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 16), seed=st.integers(0, 2 ** 32 - 1),
+       m=st.integers(1, 24), kind=st.sampled_from(["pairing_at_end",
+                                                     "sup_pairing"]),
+       scale=st.floats(0.5, 40.0),
+       sine=st.none() | st.tuples(st.floats(-3.0, 3.0),
+                                  st.floats(0.0, 2.0 * math.pi),
+                                  st.integers(1, 4)),
+       profile=st.sampled_from(["equilibrium", "tilted"]))
+def test_estimators_reduce_one_batch_bit_for_bit(gaussian, profiles, n, seed,
+                                                 m, kind, scale, sine,
+                                                 profile):
+    # each estimator is its formula applied to the batch that
+    # simulate_replicas draws from the same stream, to the last bit
+    fun = Functional(kind=kind, test_function=_sin_fn,
+                     transform=lambda v: scale * (np.asarray(v) - 0.1) ** 2,
+                     bound=64.0)
+    horizon = 0.01
+    cfg = SimConfig(n, horizon, stable_dt(gaussian, n), seed=seed)
+    prof = profiles[profile]
+    control = None
+    if sine is not None:
+        amp, phase, slices = sine
+        control = ControlGrid.from_function(
+            lambda t, th: amp * np.sin(2.0 * np.pi * th + phase + t),
+            slices, n, horizon)
+    times = ([0.0, horizon] if kind == "pairing_at_end"
+             else list(np.linspace(0.0, horizon, 9)))
+
+    def batch(ctrl):
+        b = simulate_replicas(gaussian, cfg, prof, m, control=ctrl,
+                              sample_times=times, pairing_functions=[_sin_fn],
+                              rng=np.random.default_rng(seed))
+        return b, fun.from_pairings(b.pairings[0])
+
+    def mean_se(x):
+        se = float(np.std(x, ddof=1)) / math.sqrt(m) if m > 1 else 0.0
+        return float(np.mean(x)), se
+
+    def got(report):
+        return report.estimate, report.std_error
+
+    _, f = batch(None)
+    a = -n * f
+    shift = float(np.max(a))
+    w = np.exp(a - shift)
+    mean_w = float(np.mean(w))
+    sd_w = float(np.std(w, ddof=1)) if m > 1 else 0.0
+    lap = laplace_functional_mc(gaussian, fun, cfg, prof, m,
+                                rng=np.random.default_rng(seed))
+    assert got(lap) == (-(shift + math.log(mean_w)) / n,
+                        sd_w / (math.sqrt(m) * mean_w * n))
+
+    b, g = batch(control)
+    imp = importance_sampled_expectation(gaussian, fun, control, cfg, prof, m,
+                                         rng=np.random.default_rng(seed))
+    assert got(imp) == mean_se(g * np.exp(b.log_weights))
+
+    mean, se = mean_se(b.costs / n + g)
+    bound = variational_upper_bound(gaussian, fun, control, prof, cfg, m,
+                                    rng=np.random.default_rng(seed))
+    assert got(bound) == (entropy_cost_of_profile(prof, n) + mean, se)
 
 
 def test_functional_clamps_to_its_bound():
@@ -237,12 +311,15 @@ def test_trend_study_matches_the_size_major_order(gaussian, workers):
 
 
 def test_trend_study_memory_does_not_grow_with_the_family():
-    # the study keeps one member's tilted profile alive at a time, so four
-    # more targets cost less than one profile's CDF rows
+    # the study keeps one member's tilted profile alive at a time, and the
+    # potential keeps no CDF row that no sampler holds: after a warm-up
+    # call has built the envelope chunks, a study peaks at about one
+    # profile's rows however many targets it has
     fun = _quadratic_functional(center=0.2, bound=16.0)
 
     def peak(targets):
         pot = gaussian_potential()
+        ldp_trend_study(pot, fun, [4], 0.05, 16, targets, seed=3)
         tracemalloc.start()
         try:
             ldp_trend_study(pot, fun, [4], 0.05, 16, targets, seed=3)
@@ -254,3 +331,11 @@ def test_trend_study_memory_does_not_grow_with_the_family():
     six = peak([0.05, 0.1, 0.15, 0.2, 0.25, 0.3])
     two = peak([0.05, 0.1])
     assert six - two < one_profile
+    assert six < 1.5 * one_profile and two < 1.5 * one_profile
+
+
+def test_a_finished_trend_study_leaves_no_tilt_rows():
+    pot = gaussian_potential()
+    ldp_trend_study(pot, _quadratic_functional(center=0.2, bound=16.0), [4],
+                    0.05, 16, [0.1, 0.2], seed=3)
+    assert len(pot._tilt_tables) == 0
