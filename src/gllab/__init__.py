@@ -21,7 +21,8 @@ from .particles import (ControlGrid, LatticeState, ProfileMeasure,
                         simulate_trajectory, stable_dt, tilted_constant_profile,
                         tilted_profile, tilted_sine_profile)
 from .pde import (DensityField, cfl_time_steps, contraction_gap,
-                  control_l2_distance, solve_controlled_pde)
+                  control_l2_distance, solve_controlled_pde,
+                  write_field_csv)
 from .potential import (EnvelopeTable, Potential, QuadratureSpec,
                         TiltedFamilySampler, gaussian_potential,
                         make_potential, quartic_potential)

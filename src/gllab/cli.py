@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import math
 import os
 import re
@@ -42,7 +43,7 @@ from .errors import ConfigInvalid, GLLabError
 from .particles import (ControlGrid, SimConfig, deterministic_profile,
                         equilibrium_profile, simulate_replicas, stable_dt,
                         tilted_sine_profile)
-from .pde import cfl_time_steps, solve_controlled_pde
+from .pde import cfl_time_steps, solve_controlled_pde, write_field_csv
 from .potential import make_potential
 from .rare_events import (ExperimentReport, Functional, TrendRow,
                           STEERING_CELLS, ldp_trend_study, steering_steps)
@@ -248,10 +249,20 @@ def _ini(cfg) -> str:
                    + "\n" for section, keys in SCHEMA.items())
 
 
+@contextlib.contextmanager
 def _create(out: Path, name: str):
-    """Open out/name for writing; out is made now, not before validation."""
+    """out/name open for writing; out is made now, not before validation.
+    When the block raises, the file and the directories made for it go."""
+    made = [d for d in (out, *out.parents) if not d.exists()]
     out.mkdir(parents=True, exist_ok=True)
-    return open(out / name, "w")
+    try:
+        with open(out / name, "w") as fh:
+            yield fh
+    except BaseException:
+        (out / name).unlink(missing_ok=True)
+        for d in made:                  # innermost first
+            d.rmdir()
+        raise
 
 
 def _check_steps(keys: str, steps):
@@ -321,7 +332,8 @@ def cmd_simulate(pot, cfg, out: Path):
     print(f"wrote {s.replicas} trajectories to {out}")
 
 
-def _solve_field(pot, cfg, section):
+def _field_plan(pot, cfg, section, out: Path):
+    """The checked arguments of ``section``'s PDE solve."""
     c = cfg[section]
     _check_size(f"[{section}] j_cells", 2 * c.j_cells)
     n_steps = c.n_steps
@@ -331,25 +343,27 @@ def _solve_field(pot, cfg, section):
     _check_steps(f"[{section}] horizon and n_steps", n_steps)
     _check_size(f"[{section}] j_cells, horizon and n_steps",
                 (n_steps + 1) * c.j_cells)
+    # each of the j_cells + 1 values of a row takes a digit and a separator
+    _check_disk(f"[{section}] j_cells, horizon and n_steps",
+                (n_steps + 1) * (c.j_cells + 1) * 2, out)
     u = None
     if c.control is not None:
         u = ControlGrid.from_function(lambda t, th: c.control(th), n_steps,
                                       c.j_cells, c.horizon)
     theta = np.arange(c.j_cells) / c.j_cells
-    return solve_controlled_pde(pot, c.m0(theta), u, horizon=c.horizon,
-                                j_cells=c.j_cells, n_steps=n_steps)
+    return pot, c.m0(theta), u, c.horizon, c.j_cells, n_steps
 
 
 def cmd_pde(pot, cfg, out: Path):
-    field = _solve_field(pot, cfg, "pde")
+    args = _field_plan(pot, cfg, "pde", out)
     with _create(out, "field.csv") as fh:
-        field.to_csv(fh)
-    print(f"wrote field.csv ({field.n_steps} steps, {field.j_cells} cells) "
-          f"to {out}")
+        write_field_csv(fh, *args)
+    *_, j_cells, n_steps = args
+    print(f"wrote field.csv ({n_steps} steps, {j_cells} cells) to {out}")
 
 
 def cmd_rate(pot, cfg, out: Path):
-    field = _solve_field(pot, cfg, "rate")
+    field = solve_controlled_pde(*_field_plan(pot, cfg, "rate", out))
     decomposition = rate(pot, field)
     with _create(out, "rate.csv") as fh:
         fh.write(RateDecomposition.CSV_HEADER + "\n")

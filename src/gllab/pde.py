@@ -16,13 +16,17 @@ monotone) and, under a control, each chunk it gains later.  A violation
 raises CFLViolation.
 
 One march steps an (R, J) stack of densities: one row for
-``solve_controlled_pde``, one per control for ``contraction_gap``.  The
-control flux of every time slice is computed before the loop.  A step
-does only the stencil: H from the envelope view's nodes (nan past them),
-the 3-point Laplacian in one preallocated buffer, the new level straight
-into the output field, with the floating-point grouping ((H[j+1] - 2 H[j])
-+ H[j-1], then m + diff*lap, then minus the flux) of the step written with
-``np.roll``, and one finiteness check.  A step that is not finite is
+``solve_controlled_pde`` and ``write_field_csv``, one per control for
+``contraction_gap``.  It hands each level to its caller as it is made,
+and the caller keeps what it reads: the solve every level, written in
+place into its field, the gap its nine snapshots, and the CSV writer
+none, so that its march holds two levels in a ring.  The control flux is
+computed FLUX_STEPS time slices at a time.  A step does only the
+stencil: H from the envelope view's nodes (nan past them), the 3-point
+Laplacian in one preallocated buffer, the new level straight into its
+slot, with the floating-point grouping ((H[j+1] - 2 H[j]) + H[j-1], then
+m + diff*lap, then minus the flux) of the step written with ``np.roll``,
+and one finiteness check.  A step that is not finite is
 redone through the checked ``EnvelopeTable`` call, which reads a new
 value's chunk or clamps it; a controlled march then re-checks the CFL
 bound, and a level still not finite raises NonFiniteField.  A view with
@@ -41,6 +45,8 @@ from .potential import EnvelopeTable, Potential
 from .particles import ControlGrid, write_csv
 
 CFL_SAFETY = 0.5
+# time steps whose control flux a march computes at once
+FLUX_STEPS = 64
 
 
 @dataclass
@@ -87,9 +93,13 @@ class DensityField:
         return self.values[min(max(k, 0), self.n_steps)]
 
     def to_csv(self, fh):
-        write_csv(fh, ["t"] + [f"m_{i}" for i in range(self.j_cells)],
-                  (np.concatenate(([t], v))
-                   for t, v in zip(self.times, self.values)))
+        _field_csv(fh, self.dt, self.values, self.j_cells)
+
+
+def _field_csv(fh, dt: float, levels, j_cells: int):
+    """The rows t_k = k dt, m(t_k, .) of the levels, through write_csv."""
+    write_csv(fh, ["t"] + [f"m_{i}" for i in range(j_cells)],
+              (np.concatenate(([k * dt], v)) for k, v in enumerate(levels)))
 
 
 def _resolve_grid(pot: Potential, m0, j_cells):
@@ -124,28 +134,26 @@ def cfl_time_steps(pot: Potential, m0, j_cells: int, horizon: float) -> int:
 
 
 def _march(table: EnvelopeTable, m0, controls, horizon: float,
-           n_steps: int) -> np.ndarray:
+           n_steps: int, out=None):
     """Step m0 under each control as one (R, J) stack (one uncontrolled
-    row without controls), sharing ``table``; returns (n_steps+1, R, J).
-    A value past the view's nodes reads nan, so its step is redone
-    through the checked ``table`` call (see the module docstring)."""
+    row without controls), sharing ``table``; yields the levels
+    k = 0..n_steps, each an (R, J) view.  Level k is out[k] when an
+    (n_steps+1, R, J) ``out`` is given; otherwise the levels take turns in
+    a two-level ring, so a caller copies what it keeps before it asks for
+    the next level.  A value past the view's nodes reads nan, so its step
+    is redone through the checked ``table`` call (see the module
+    docstring)."""
     j_cells = m0.size
     dtheta = 1.0 / j_cells
     dt = horizon / n_steps
     _stable_dt(table, j_cells, dt)
 
     diff = 0.5 * dt / dtheta ** 2
-    flux = None
-    if controls:
-        flux = np.empty((n_steps, len(controls), j_cells))
-        for r, u in enumerate(controls):
-            right = u.values + np.roll(u.values, -1, axis=1)
-            right *= 0.5
-            np.subtract(right, np.roll(right, 1, axis=1), out=flux[:, r])
-        flux *= dt / dtheta
-    out = np.empty((n_steps + 1, max(1, len(controls)), j_cells))
-    out[0] = m0
-    lap = np.empty(out.shape[1:])
+    levels = np.empty((2, max(1, len(controls)), j_cells)) \
+        if out is None else out
+    levels[0] = m0
+    lap = np.empty(levels.shape[1:])
+    flux = np.empty((FLUX_STEPS,) + lap.shape) if controls else None
 
     def step(k, hm):
         # lap = (hm[j+1] - 2 hm[j]) + hm[j-1] on the circle, in place
@@ -155,24 +163,53 @@ def _march(table: EnvelopeTable, m0, controls, horizon: float,
         lap[:, 1:] += hm[:, :-1]
         lap[:, 0] += hm[:, -1]
         np.multiply(lap, diff, out=lap)
-        nxt = out[k + 1]
-        np.add(out[k], lap, out=nxt)
+        nxt = levels[(k + 1) % len(levels)]
+        np.add(levels[k % len(levels)], lap, out=nxt)
         if flux is not None:
-            nxt -= flux[k]
+            nxt -= flux[k % FLUX_STEPS]
         return np.isfinite(nxt).all()
 
     nodes = table.nodes()
     for k in range(n_steps):
+        cur = levels[k % len(levels)]
+        yield cur
+        if flux is not None and k % FLUX_STEPS == 0:
+            # the control flux of steps k, k+1, ... (at most FLUX_STEPS)
+            block = flux[:min(FLUX_STEPS, n_steps - k)]
+            for r, u in enumerate(controls):
+                values = u.values[k:k + len(block)]
+                right = values + np.roll(values, -1, axis=1)
+                right *= 0.5
+                np.subtract(right, np.roll(right, 1, axis=1),
+                            out=block[:, r])
+            block *= dt / dtheta
         if nodes is not None and step(k, np.interp(
-                out[k], *nodes, left=math.nan, right=math.nan)):
+                cur, *nodes, left=math.nan, right=math.nan)):
             continue
-        hm = table(out[k])
+        hm = table(cur)
         if flux is not None:
             _stable_dt(table, j_cells, dt)     # the view may have grown
         if not step(k, hm):
             raise NonFiniteField(f"field blew up at step {k + 1}")
         nodes = table.nodes()
-    return out
+    yield levels[n_steps % len(levels)]
+
+
+def _plan(pot: Potential, m0, u, horizon, j_cells, n_steps):
+    """``solve_controlled_pde``'s arguments resolved: (table, initial
+    density, controls, horizon, n_steps)."""
+    if u is not None:
+        horizon = u.horizon
+        j_cells = u.j_cells
+        n_steps = u.n_steps
+    if horizon is None or not (horizon > 0):
+        raise ValueError("horizon must be positive")
+    if callable(m0) and j_cells is None:
+        raise ValueError("j_cells required with a callable initial density")
+    m, table = _resolve_grid(pot, m0, j_cells)
+    if n_steps is None:
+        n_steps = _cfl_steps(horizon, table, m.size)
+    return table, m, [] if u is None else [u], horizon, n_steps
 
 
 def solve_controlled_pde(pot: Potential, m0, u: ControlGrid | None = None,
@@ -185,19 +222,24 @@ def solve_controlled_pde(pot: Potential, m0, u: ControlGrid | None = None,
     otherwise the control is zero, ``j_cells`` sizes the grid from the
     initial density, and ``n_steps`` defaults to the CFL-determined count.
     """
-    if u is not None:
-        horizon = u.horizon
-        j_cells = u.j_cells
-        n_steps = u.n_steps
-    if horizon is None or not (horizon > 0):
-        raise ValueError("horizon must be positive")
-    if callable(m0) and j_cells is None:
-        raise ValueError("j_cells required with a callable initial density")
-    m, table = _resolve_grid(pot, m0, j_cells)
-    if n_steps is None:
-        n_steps = _cfl_steps(horizon, table, m.size)
-    out = _march(table, m, [] if u is None else [u], horizon, n_steps)
+    table, m, controls, horizon, n_steps = _plan(pot, m0, u, horizon,
+                                                 j_cells, n_steps)
+    out = np.empty((n_steps + 1, 1, m.size))
+    for _ in _march(table, m, controls, horizon, n_steps, out):
+        pass
     return DensityField(out[:, 0], horizon, range_escaped=table.range_escaped)
+
+
+def write_field_csv(fh, pot: Potential, m0, u: ControlGrid | None = None,
+                    horizon: float | None = None, j_cells: int | None = None,
+                    n_steps: int | None = None):
+    """Write to ``fh`` what ``solve_controlled_pde`` (same arguments)
+    returns, as ``DensityField.to_csv`` writes it, one level at a time as
+    the march makes it: the field is never held whole."""
+    table, m, controls, horizon, n_steps = _plan(pot, m0, u, horizon,
+                                                 j_cells, n_steps)
+    _field_csv(fh, horizon / n_steps, (level[0] for level in _march(
+        table, m, controls, horizon, n_steps)), m.size)
 
 
 def control_l2_distance(u1: ControlGrid, u2: ControlGrid) -> float:
@@ -221,9 +263,11 @@ def contraction_gap(pot: Potential, m0, u1: ControlGrid, u2: ControlGrid):
 
     rhs = math.exp(u1.horizon / 2.0) * control_l2_distance(u1, u2)
     m, table = _resolve_grid(pot, m0, u1.j_cells)
-    out = _march(table, m, [u1, u2], u1.horizon, u1.n_steps)
     dt = u1.horizon / u1.n_steps
     idx = np.round(np.linspace(0.0, u1.horizon, 9) / dt).astype(int)
-    p1, p2 = (path_from_density_slices(idx * dt, out[idx, r], m.size)
-              for r in (0, 1))
+    keep = set(idx.tolist())
+    kept = {k: level.copy() for k, level in enumerate(
+        _march(table, m, [u1, u2], u1.horizon, u1.n_steps)) if k in keep}
+    p1, p2 = (path_from_density_slices(idx * dt, [kept[k][r] for k in idx],
+                                       m.size) for r in (0, 1))
     return d_star(p1, p2), rhs

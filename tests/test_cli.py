@@ -4,11 +4,14 @@ import configparser
 import contextlib
 import io
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
 import textwrap
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -350,6 +353,46 @@ def test_a_control_past_the_initial_cfl_bound_exits_3(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("numerical failure: dt=")
     assert "max H'" in err[0]
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("subcommand, keys", [
+    ("simulate", "[simulate] replicas, snapshots and n_sites"),
+    ("pde", "[pde] j_cells, horizon and n_steps"),
+    ("rate", "[rate] j_cells, horizon and n_steps"),
+])
+def test_a_plan_past_the_free_disk_space_exits_2(tmp_path, capsys,
+                                                 monkeypatch, subcommand,
+                                                 keys):
+    ini = _write(tmp_path, "tiny.ini", "[simulate]\nn_sites = 4\n"
+                 "horizon = 0.001\n[pde]\nj_cells = 8\nhorizon = 0.001\n"
+                 "[rate]\nj_cells = 8\nhorizon = 0.001\n")
+    monkeypatch.setattr(shutil, "disk_usage",
+                        lambda path: SimpleNamespace(free=0))
+    assert main([subcommand, "--config", ini,
+                 "--output-dir", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"config error: {keys} plan at least ")
+    assert err[0].endswith(f"more than the 0 bytes free under {tmp_path}")
+    assert not (tmp_path / "x").exists()
+
+
+def test_pde_streams_its_field_in_memory_that_does_not_grow_with_time(
+        tmp_path):
+    # the field of T = 0.1 at J = 256 takes 27 MB, a quarter of it at
+    # T = 0.025; the march holds two levels and writes each as it is made
+    peaks = []
+    for horizon in (0.025, 0.1):
+        ini = _write(tmp_path, f"{horizon}.ini", "[pde]\nj_cells = 256\n"
+                     f"horizon = {horizon}\nm0 = sine(0.8)\n")
+        tracemalloc.start()
+        try:
+            assert main(["pde", "--config", ini,
+                         "--output-dir", str(tmp_path / str(horizon))]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2 ** 20
 
 
 # A tiny run of every subcommand; one key at a time is then overwritten.

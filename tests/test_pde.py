@@ -2,17 +2,19 @@
 
 import io
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from gllab import (CFLViolation, ControlGrid, EnvelopeTable, NonFiniteField,
-                   cfl_time_steps, contraction_gap, control_l2_distance,
-                   d_star, path_from_density_slices, quartic_potential,
-                   solve_controlled_pde)
+from gllab import (CFLViolation, ControlGrid, DensityField, EnvelopeTable,
+                   NonFiniteField, cfl_time_steps, contraction_gap,
+                   control_l2_distance, d_star, path_from_density_slices,
+                   quartic_potential, solve_controlled_pde, write_field_csv)
 from gllab.pde import _stable_dt
 from oracles import weak_form_residual
 
@@ -136,6 +138,26 @@ def test_contraction_certificate_on_one_pair(gaussian):
     m0 = 0.5 * _sine(j)
     lhs, rhs = contraction_gap(gaussian, m0, u1, u2)
     assert 0.0 < lhs <= rhs + 1e-9
+
+
+def test_contraction_gap_keeps_only_its_snapshots(gaussian):
+    # the two rows of 821 levels at J = 64 would take 840 kB; the gap
+    # keeps its nine snapshots and a block of the control flux
+    j, horizon = 64, 0.1
+    m0 = 0.5 * _sine(j)
+    steps = cfl_time_steps(gaussian, m0, j, horizon)
+    u1 = ControlGrid.from_function(
+        lambda t, th: 0.6 * np.cos(2.0 * np.pi * th), steps, j, horizon)
+    u2 = ControlGrid.from_function(
+        lambda t, th: -0.2 * np.sin(2.0 * np.pi * th), steps, j, horizon)
+    contraction_gap(gaussian, m0, u1, u2)     # the envelope chunks, built
+    tracemalloc.start()
+    try:
+        contraction_gap(gaussian, m0, u1, u2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (steps + 1) * 2 * j * 8
 
 
 @pytest.mark.parametrize("amp", [2.5, 5.0])
@@ -332,21 +354,58 @@ def _outcome(fn):
     return result, clamps
 
 
-def _march_matches_reference(pot, m0, u, horizon, n_steps):
+def _gap_snapshots(pot, m0, u, horizon, n_steps):
+    """The two rows of ``contraction_gap(pot, m0, u, u)``'s nine
+    snapshots, as the gap hands them to the path builder."""
+    slices = []
+
+    def record(times, rows, n_atoms):
+        slices.append(np.array(rows))
+    with mock.patch("gllab.measures.path_from_density_slices", record), \
+            mock.patch("gllab.measures.d_star", lambda p1, p2: 0.0):
+        contraction_gap(pot, m0, u, u)
+    return slices
+
+
+def _march_matches_reference(pot, m0, u, horizon, n_steps, path="solve"):
     """Assert that the solver and the checked reference agree bit for
     bit, failure included; returns the reference's table, or the
-    failure's type."""
+    failure's type.  ``path`` picks what is compared: the field of
+    ``solve_controlled_pde``, the CSV text ``write_field_csv`` streams,
+    or ``contraction_gap``'s nine snapshots (with u as both controls, a
+    zero control for none)."""
+    if path == "gap" and u is None:
+        u = ControlGrid(np.zeros((n_steps, m0.size)), horizon)
     ref, ref_clamps = _outcome(
         lambda: _checked_reference(pot, m0, u, horizon, n_steps))
-    got, clamps = _outcome(lambda: solve_controlled_pde(
-        pot, m0, u, horizon=horizon, j_cells=m0.size, n_steps=n_steps))
+    kwargs = dict(horizon=horizon, j_cells=m0.size, n_steps=n_steps)
+
+    def streamed():
+        buf = io.StringIO()
+        write_field_csv(buf, pot, m0, u, **kwargs)
+        return buf.getvalue()
+    run = {"solve": lambda: solve_controlled_pde(pot, m0, u, **kwargs),
+           "stream": streamed,
+           "gap": lambda: _gap_snapshots(pot, m0, u, horizon, n_steps)}
+    got, clamps = _outcome(run[path])
     assert clamps == ref_clamps
     if isinstance(got, tuple):
         assert got == ref
         return got[0]
     values, table = ref
-    assert np.array_equal(got.values, values)
-    assert got.range_escaped == table.range_escaped
+    if path == "solve":
+        assert np.array_equal(got.values, values)
+        assert got.range_escaped == table.range_escaped
+    elif path == "stream":
+        buf = io.StringIO()
+        DensityField(values, horizon).to_csv(buf)
+        assert got == buf.getvalue()
+    else:
+        idx = np.round(np.linspace(0.0, horizon, 9)
+                       / (horizon / n_steps)).astype(int)
+        assert len(got) == 2
+        for rows in got:
+            assert np.array_equal(rows, values[idx])
     return table
 
 
@@ -363,16 +422,17 @@ def _spike(values, k):
 # field into chunks that fail the bound mid-solve; larger control scales
 # carry the field into new chunks and past the resolvable edge (6.25 for
 # the Gaussian), where values clamp; a spike overflows one step's flux
-@settings(max_examples=120, deadline=None)
-@given(family=st.sampled_from(["gaussian", "quartic"]),
-       j=st.integers(4, 128), n_steps=st.integers(1, 40),
+@settings(max_examples=180, deadline=None)
+@given(path=st.sampled_from(["solve", "stream", "gap"]),
+       family=st.sampled_from(["gaussian", "quartic"]),
+       j=st.integers(4, 128), n_steps=st.integers(1, 150),
        amp=st.sampled_from([0.2, 1.0, 3.0]),
        scale=st.sampled_from([None, 0.0, 0.5, 5.0, 50.0, 500.0, 5000.0]),
        spike=st.sampled_from([False] * 3 + [True]),
        cfl=st.sampled_from([0.5, 1.0, 1.0, 1.5]),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_march_matches_checked_reference(gaussian, quartic, family, j,
-                                         n_steps, amp, scale, spike, cfl,
+def test_march_matches_checked_reference(gaussian, quartic, path, family,
+                                         j, n_steps, amp, scale, spike, cfl,
                                          seed):
     pot = gaussian if family == "gaussian" else quartic
     rng = np.random.default_rng(seed)
@@ -387,10 +447,10 @@ def test_march_matches_checked_reference(gaussian, quartic, family, j,
         with np.errstate(over="ignore"):
             u = ControlGrid(values, horizon)
     first = (table.lo, table.hi)
-    table = _march_matches_reference(pot, m0, u, horizon, n_steps)
-    event(table.__name__ if isinstance(table, type) else
+    table = _march_matches_reference(pot, m0, u, horizon, n_steps, path)
+    event(path + ": " + (table.__name__ if isinstance(table, type) else
           "clamped" if table.range_escaped else
-          "grew" if (table.lo, table.hi) != first else "stayed")
+          "grew" if (table.lo, table.hi) != first else "stayed"))
 
 
 @pytest.mark.parametrize("c, grew, escaped, gap", [
