@@ -421,7 +421,10 @@ def _spike(values, k):
 # first step; the quartic's H' grows with |m|, so a control can carry its
 # field into chunks that fail the bound mid-solve; larger control scales
 # carry the field into new chunks and past the resolvable edge (6.25 for
-# the Gaussian), where values clamp; a spike overflows one step's flux
+# the Gaussian), where values clamp; a spike overflows one step's flux;
+# past 64 steps the march computes a second block of the control flux.
+# Each example compares one of the march's three callers: the solve, the
+# CSV it streams, or the contraction gap's snapshots
 @settings(max_examples=180, deadline=None)
 @given(path=st.sampled_from(["solve", "stream", "gap"]),
        family=st.sampled_from(["gaussian", "quartic"]),
