@@ -298,6 +298,12 @@ def _steps_or_inf(count, *args):
         return math.inf
 
 
+def _control(c: SimpleNamespace, j_cells: int):
+    """A section's time-constant control as a one-slice ControlGrid."""
+    return None if c.control is None else ControlGrid.from_function(
+        lambda t, th: c.control(th), 1, j_cells, c.horizon)
+
+
 def cmd_simulate(pot, cfg, out: Path):
     s, seed = cfg["simulate"], cfg["run"].seed
     # replicas run in groups whose (M, N) step fits one noise block
@@ -312,10 +318,7 @@ def cmd_simulate(pot, cfg, out: Path):
                 s.replicas * s.snapshots * (s.n_sites + 3) * 2, out)
     config = SimConfig(s.n_sites, s.horizon, dt, seed=seed)
     profile = s.profile(pot)
-    control = None
-    if s.control is not None:
-        control = ControlGrid.from_function(
-            lambda t, th: s.control(th), 1, s.n_sites, s.horizon)
+    control = _control(s, s.n_sites)
     sample_times = np.linspace(0.0, s.horizon, s.snapshots)
 
     # replica r draws only from the r-th child stream, so its file is what
@@ -336,22 +339,17 @@ def _field_plan(pot, cfg, section, out: Path):
     """The checked arguments of ``section``'s PDE solve."""
     c = cfg[section]
     _check_size(f"[{section}] j_cells", 2 * c.j_cells)
-    n_steps = c.n_steps
-    if n_steps is None:
-        n_steps = _steps_or_inf(cfl_time_steps, pot, c.m0, c.j_cells,
-                                c.horizon)
+    n_steps = c.n_steps or _steps_or_inf(cfl_time_steps, pot, c.m0,
+                                         c.j_cells, c.horizon)
     _check_steps(f"[{section}] horizon and n_steps", n_steps)
     _check_size(f"[{section}] j_cells, horizon and n_steps",
                 (n_steps + 1) * c.j_cells)
     # each of the j_cells + 1 values of a row takes a digit and a separator
     _check_disk(f"[{section}] j_cells, horizon and n_steps",
                 (n_steps + 1) * (c.j_cells + 1) * 2, out)
-    u = None
-    if c.control is not None:
-        u = ControlGrid.from_function(lambda t, th: c.control(th), n_steps,
-                                      c.j_cells, c.horizon)
     theta = np.arange(c.j_cells) / c.j_cells
-    return pot, c.m0(theta), u, c.horizon, c.j_cells, n_steps
+    return (pot, c.m0(theta), _control(c, c.j_cells), c.horizon, c.j_cells,
+            n_steps)
 
 
 def cmd_pde(pot, cfg, out: Path):

@@ -102,7 +102,7 @@ class ControlGrid:
     particle engine needs J = N and gives site i the column at i/N (site
     N takes column 0), and the PDE solver gives cell j column j.  A
     uniform step grid over [0, T] finds each step's slice with
-    ``slice_of``; the PDE solver's steps are the slices themselves.  The
+    ``slice_of``, in the particle engine and the PDE solver alike.  The
     squared L2 norm over [0, T] x S is cached at construction.
     """
 

@@ -8,8 +8,8 @@ flux difference of H(m), and the control enters through face values.
 Both terms telescope, so cell-average mass is conserved to round-off.
 
 The control is a ``ControlGrid``, the type the particle engine takes
-too, with one slice per time step; its face values are the average of
-the two neighboring cells.
+too; step k reads its slice ``slice_of(k, n_steps)``, as the engine
+does, and its face values average the two neighboring cells.
 Stability needs dt <= dtheta^2 / max H'(m), H' = 1/var over the envelope
 chunks the field reads: the initial density's (the scheme is then
 monotone) and, under a control, each chunk it gains later.  A violation
@@ -21,7 +21,7 @@ One march steps an (R, J) stack of densities: one row for
 and the caller keeps what it reads: the solve every level, written in
 place into its field, the gap its nine snapshots, and the CSV writer
 none, so that its march holds two levels in a ring.  The control flux is
-computed FLUX_STEPS time slices at a time.  A step does only the
+computed FLUX_STEPS time steps at a time.  A step does only the
 stencil: H from the envelope view's nodes (nan past them), the 3-point
 Laplacian in one preallocated buffer, the new level straight into its
 slot, with the floating-point grouping ((H[j+1] - 2 H[j]) + H[j-1], then
@@ -123,14 +123,9 @@ def _stable_dt(table: EnvelopeTable, j_cells: int, dt: float = 0.0):
     return dt_max
 
 
-def _cfl_steps(horizon: float, table: EnvelopeTable, j_cells: int) -> int:
-    return max(1, int(math.ceil(horizon / _stable_dt(table, j_cells))))
-
-
 def cfl_time_steps(pot: Potential, m0, j_cells: int, horizon: float) -> int:
     """Smallest step count satisfying dt <= CFL_SAFETY * dtheta^2 / max H'."""
-    m, table = _resolve_grid(pot, m0, j_cells)
-    return _cfl_steps(horizon, table, m.size)
+    return _plan(pot, m0, None, horizon, j_cells, None)[-1]
 
 
 def _march(table: EnvelopeTable, m0, controls, horizon: float,
@@ -177,7 +172,8 @@ def _march(table: EnvelopeTable, m0, controls, horizon: float,
             # the control flux of steps k, k+1, ... (at most FLUX_STEPS)
             block = flux[:min(FLUX_STEPS, n_steps - k)]
             for r, u in enumerate(controls):
-                values = u.values[k:k + len(block)]
+                values = u.values[u.slice_of(np.arange(k, k + len(block)),
+                                             n_steps)]
                 right = values + np.roll(values, -1, axis=1)
                 right *= 0.5
                 np.subtract(right, np.roll(right, 1, axis=1),
@@ -196,19 +192,23 @@ def _march(table: EnvelopeTable, m0, controls, horizon: float,
 
 
 def _plan(pot: Potential, m0, u, horizon, j_cells, n_steps):
-    """``solve_controlled_pde``'s arguments resolved: (table, initial
-    density, controls, horizon, n_steps)."""
+    """Every PDE run's arguments resolved, as ``solve_controlled_pde``
+    documents them: (table, initial density, controls, horizon, n_steps)."""
     if u is not None:
-        horizon = u.horizon
-        j_cells = u.j_cells
-        n_steps = u.n_steps
+        for key, given, fixed in (("horizon", horizon, u.horizon),
+                                  ("j_cells", j_cells, u.j_cells)):
+            if given not in (None, fixed):
+                raise ValueError(f"{key}={given} disagrees with the "
+                                 f"control's {fixed}")
+        horizon, j_cells = u.horizon, u.j_cells
+        n_steps = u.n_steps if n_steps is None else n_steps
     if horizon is None or not (horizon > 0):
         raise ValueError("horizon must be positive")
     if callable(m0) and j_cells is None:
         raise ValueError("j_cells required with a callable initial density")
     m, table = _resolve_grid(pot, m0, j_cells)
     if n_steps is None:
-        n_steps = _cfl_steps(horizon, table, m.size)
+        n_steps = max(1, int(math.ceil(horizon / _stable_dt(table, m.size))))
     return table, m, [] if u is None else [u], horizon, n_steps
 
 
@@ -218,7 +218,8 @@ def solve_controlled_pde(pot: Potential, m0, u: ControlGrid | None = None,
                          n_steps: int | None = None) -> DensityField:
     """March the controlled equation forward from the initial density.
 
-    When a ControlGrid is given it fixes the grid (and the horizon);
+    When a ControlGrid is given it fixes J and T, which ``horizon`` and
+    ``j_cells`` must match, and its slice count is the default ``n_steps``;
     otherwise the control is zero, ``j_cells`` sizes the grid from the
     initial density, and ``n_steps`` defaults to the CFL-determined count.
     """
@@ -262,12 +263,12 @@ def contraction_gap(pot: Potential, m0, u1: ControlGrid, u2: ControlGrid):
     from .measures import path_from_density_slices, d_star
 
     rhs = math.exp(u1.horizon / 2.0) * control_l2_distance(u1, u2)
-    m, table = _resolve_grid(pot, m0, u1.j_cells)
-    dt = u1.horizon / u1.n_steps
-    idx = np.round(np.linspace(0.0, u1.horizon, 9) / dt).astype(int)
+    table, m, _, horizon, n_steps = _plan(pot, m0, u1, None, None, None)
+    dt = horizon / n_steps
+    idx = np.round(np.linspace(0.0, horizon, 9) / dt).astype(int)
     keep = set(idx.tolist())
     kept = {k: level.copy() for k, level in enumerate(
-        _march(table, m, [u1, u2], u1.horizon, u1.n_steps)) if k in keep}
+        _march(table, m, [u1, u2], horizon, n_steps)) if k in keep}
     p1, p2 = (path_from_density_slices(idx * dt, [kept[k][r] for k in idx],
                                        m.size) for r in (0, 1))
     return d_star(p1, p2), rhs

@@ -377,14 +377,21 @@ def test_a_plan_past_the_free_disk_space_exits_2(tmp_path, capsys,
     assert not (tmp_path / "x").exists()
 
 
+# the field of T = 0.1 at J = 256 takes 27 MB, a quarter of it at
+# T = 0.025; the march holds two levels and writes each as it is made.  A
+# control is a one-slice grid that every step reads; a slice per step
+# would take 13 MB at T = 0.05
+@pytest.mark.parametrize("control, horizons", [
+    pytest.param("none", (0.025, 0.1), id="none"),
+    pytest.param("cosine(0.5)", (0.0125, 0.05), id="cosine(0.5)"),
+])
 def test_pde_streams_its_field_in_memory_that_does_not_grow_with_time(
-        tmp_path):
-    # the field of T = 0.1 at J = 256 takes 27 MB, a quarter of it at
-    # T = 0.025; the march holds two levels and writes each as it is made
+        tmp_path, control, horizons):
     peaks = []
-    for horizon in (0.025, 0.1):
+    for horizon in horizons:
         ini = _write(tmp_path, f"{horizon}.ini", "[pde]\nj_cells = 256\n"
-                     f"horizon = {horizon}\nm0 = sine(0.8)\n")
+                     f"horizon = {horizon}\nm0 = sine(0.8)\n"
+                     f"control = {control}\n")
         tracemalloc.start()
         try:
             assert main(["pde", "--config", ini,

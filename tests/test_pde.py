@@ -58,6 +58,29 @@ def test_mass_is_conserved_under_control(gaussian, rng):
     assert np.max(np.abs(masses - masses[0])) < 1e-13
 
 
+def test_a_control_fixes_the_grid_and_the_step_count_is_honoured(gaussian):
+    # a 40-slice control marched in 80 steps: step k reads slice k // 2
+    j, horizon = 16, 0.01
+    u = ControlGrid(np.random.default_rng(5).standard_normal((40, j)),
+                    horizon)
+    field = solve_controlled_pde(gaussian, _sine(j), u, n_steps=80)
+    per_step = ControlGrid(np.repeat(u.values, 2, axis=0), horizon)
+    assert field.n_steps == 80
+    assert np.array_equal(field.values,
+                          solve_controlled_pde(gaussian, _sine(j),
+                                               per_step).values)
+    assert np.array_equal(solve_controlled_pde(
+        gaussian, _sine(j), u, horizon=horizon, j_cells=j).values,
+        solve_controlled_pde(gaussian, _sine(j), u).values)
+    # a horizon or j_cells that disagrees with the control is an error
+    for kwargs, name in ((dict(horizon=5.0), "horizon=5.0"),
+                         (dict(j_cells=99), "j_cells=99")):
+        with pytest.raises(ValueError, match=name):
+            solve_controlled_pde(gaussian, _sine(j), u, **kwargs)
+        with pytest.raises(ValueError, match=name):
+            write_field_csv(io.StringIO(), gaussian, _sine(j), u, **kwargs)
+
+
 def test_explicit_step_count_must_respect_cfl(gaussian):
     with pytest.raises(CFLViolation):
         solve_controlled_pde(gaussian, _sine(64), horizon=0.05, j_cells=64,
@@ -373,11 +396,17 @@ def _march_matches_reference(pot, m0, u, horizon, n_steps, path="solve"):
     failure's type.  ``path`` picks what is compared: the field of
     ``solve_controlled_pde``, the CSV text ``write_field_csv`` streams,
     or ``contraction_gap``'s nine snapshots (with u as both controls, a
-    zero control for none)."""
+    zero control for none).  The reference reads one slice per step, the
+    slice ``u.slice_of(k, n_steps)`` of each step k."""
     if path == "gap" and u is None:
         u = ControlGrid(np.zeros((n_steps, m0.size)), horizon)
+    per_step = u
+    if u is not None:
+        with np.errstate(over="ignore"):
+            per_step = ControlGrid(
+                u.values[u.slice_of(np.arange(n_steps), n_steps)], horizon)
     ref, ref_clamps = _outcome(
-        lambda: _checked_reference(pot, m0, u, horizon, n_steps))
+        lambda: _checked_reference(pot, m0, per_step, horizon, n_steps))
     kwargs = dict(horizon=horizon, j_cells=m0.size, n_steps=n_steps)
 
     def streamed():
@@ -424,29 +453,33 @@ def _spike(values, k):
 # the Gaussian), where values clamp; a spike overflows one step's flux;
 # past 64 steps the march computes a second block of the control flux.
 # Each example compares one of the march's three callers: the solve, the
-# CSV it streams, or the contraction gap's snapshots
+# CSV it streams, or the contraction gap's snapshots.  The control of a
+# solve or a stream has ``slices`` time slices (None: one per step), read
+# through ``slice_of``; the gap marches its controls' own slice count
 @settings(max_examples=180, deadline=None)
 @given(path=st.sampled_from(["solve", "stream", "gap"]),
        family=st.sampled_from(["gaussian", "quartic"]),
        j=st.integers(4, 128), n_steps=st.integers(1, 150),
+       slices=st.sampled_from([None, 1, 7, 150]),
        amp=st.sampled_from([0.2, 1.0, 3.0]),
        scale=st.sampled_from([None, 0.0, 0.5, 5.0, 50.0, 500.0, 5000.0]),
        spike=st.sampled_from([False] * 3 + [True]),
        cfl=st.sampled_from([0.5, 1.0, 1.0, 1.5]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_march_matches_checked_reference(gaussian, quartic, path, family,
-                                         j, n_steps, amp, scale, spike, cfl,
-                                         seed):
+                                         j, n_steps, slices, amp, scale,
+                                         spike, cfl, seed):
     pot = gaussian if family == "gaussian" else quartic
     rng = np.random.default_rng(seed)
     m0 = amp * rng.uniform(-1.0, 1.0, j)
     table = EnvelopeTable(pot, np.min(m0), np.max(m0))
     horizon = cfl * n_steps * _stable_dt(table, j)
+    k = n_steps if slices is None or path == "gap" else slices
     u = None
     if scale is not None:
-        values = scale * rng.standard_normal((n_steps, j))
+        values = scale * rng.standard_normal((k, j))
         if spike:
-            values = _spike(values, int(rng.integers(n_steps)))
+            values = _spike(values, int(rng.integers(k)))
         with np.errstate(over="ignore"):
             u = ControlGrid(values, horizon)
     first = (table.lo, table.hi)
