@@ -403,39 +403,60 @@ def simulate_trajectory(pot: Potential, config: SimConfig,
 # -- initial profiles ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProfileMeasure:
-    """Position-dependent single-site law for initial conditions.
+    """Initial product law: at position theta, the reference density
+    tilted to the mean m0(theta), or a point mass at m0(theta).
 
-    ``conditional_sampler(theta, rng)`` draws one charge per entry of the
-    position array theta; ``entropy_density`` gives the relative entropy
-    against the reference density at each position.  Site i realizes the
-    cell average over ((i-1)/N, i/N] exactly, by drawing theta uniformly
-    in the cell first.
+    ``means`` is an increasing grid with its tilts lam*(m) and entropies
+    h(m), read by linear interpolation; a mean outside it raises
+    ValueError.  A point mass has no table, no sampler and entropy +inf.
+    Site i realizes the cell average over ((i-1)/N, i/N] exactly, by
+    drawing theta uniformly in the cell first.
     """
 
-    conditional_sampler: Callable
-    entropy_density: Callable
+    mean_fn: Callable
+    means: np.ndarray | None = None
+    tilts: np.ndarray | None = None
+    entropies: np.ndarray | None = None
+    sampler: TiltedFamilySampler | None = None
+
+    def _read(self, theta, column):
+        """``column`` interpolated at m0(theta), inside the table."""
+        m = np.asarray(self.mean_fn(theta), dtype=float)
+        if not np.all((m >= self.means[0]) & (m <= self.means[-1])):
+            raise ValueError(f"profile mean outside its tilt table "
+                             f"[{self.means[0]:g}, {self.means[-1]:g}]")
+        return np.interp(m, self.means, column)
+
+    def sample(self, theta, rng):
+        """One charge per entry of the position array theta."""
+        if self.sampler is None:
+            return np.asarray(self.mean_fn(theta), dtype=float)
+        return self.sampler.sample(self._read(theta, self.tilts), rng)
+
+    def entropy_density(self, theta):
+        """Relative entropy against the reference at each position."""
+        if self.sampler is None:
+            return np.full(np.shape(theta), np.inf)
+        return self._read(theta, self.entropies)
 
 
 def equilibrium_profile(pot: Potential) -> ProfileMeasure:
-    """Every site starts from the reference density itself."""
-    sampler = TiltedFamilySampler(pot, 0.0, 0.0)
-
-    return ProfileMeasure(
-        conditional_sampler=lambda theta, rng: sampler.sample(
-            np.zeros_like(np.asarray(theta, dtype=float)), rng),
-        entropy_density=lambda theta: np.zeros_like(
-            np.asarray(theta, dtype=float)),
-    )
+    """Every site starts from the reference density itself: the zero tilt
+    at the reference mean rho'(0), on the one-row sampler."""
+    m_eq = float(pot._tilted_stats(0.0)[1])
+    return ProfileMeasure(lambda theta: np.full(np.shape(theta), m_eq),
+                          np.array([m_eq]), np.zeros(1), np.zeros(1),
+                          TiltedFamilySampler(pot, 0.0, 0.0))
 
 
 def tilted_profile(pot: Potential, mean_fn: Callable) -> ProfileMeasure:
     """Exponentially tilted profile with prescribed mean m0(theta).
 
     The tilt solves rho'(lam(theta)) = m0(theta); its entropy density is
-    the Legendre transform value h(m0(theta)).  Tilts are tabulated over
-    the observed mean range so per-draw solves are just interpolation.
+    the Legendre transform value h(m0(theta)).  The table spans the means
+    that a 512-point probe of m0 sees, padded by 1 % of their range.
     """
     probe = np.linspace(0.0, 1.0, 512, endpoint=False)
     means = np.asarray(mean_fn(probe), dtype=float)
@@ -443,18 +464,8 @@ def tilted_profile(pot: Potential, mean_fn: Callable) -> ProfileMeasure:
     span = max(mhi - mlo, 1e-6)
     grid = np.linspace(mlo - 0.01 * span, mhi + 0.01 * span, 513)
     h_grid, lam_grid = pot.legendre_h_vec(grid)
-    sampler = TiltedFamilySampler(pot, float(np.min(lam_grid)),
-                                  float(np.max(lam_grid)))
-
-    def lam_of_theta(theta):
-        return np.interp(mean_fn(theta), grid, lam_grid)
-
-    return ProfileMeasure(
-        conditional_sampler=lambda theta, rng: sampler.sample(
-            lam_of_theta(np.asarray(theta, dtype=float)), rng),
-        entropy_density=lambda theta: np.interp(
-            np.asarray(mean_fn(theta), dtype=float), grid, h_grid),
-    )
+    return ProfileMeasure(mean_fn, grid, lam_grid, h_grid, TiltedFamilySampler(
+        pot, float(np.min(lam_grid)), float(np.max(lam_grid))))
 
 
 def tilted_sine_profile(pot: Potential, amplitude: float) -> ProfileMeasure:
@@ -469,12 +480,7 @@ def tilted_constant_profile(pot: Potential, level: float) -> ProfileMeasure:
 
 def deterministic_profile(mean_fn: Callable) -> ProfileMeasure:
     """Point mass at m0(theta); infinite entropy against the reference."""
-    return ProfileMeasure(
-        conditional_sampler=lambda theta, rng: np.asarray(
-            mean_fn(theta), dtype=float),
-        entropy_density=lambda theta: np.full_like(
-            np.asarray(theta, dtype=float), np.inf),
-    )
+    return ProfileMeasure(mean_fn)
 
 
 def _cell_positions(n_sites: int, shape, rng: np.random.Generator):
@@ -495,7 +501,7 @@ def sample_initial_matrix(profile: ProfileMeasure, n_sites: int,
                           rng: np.random.Generator) -> np.ndarray:
     """(n_replicas, n_sites) matrix of independent initial draws."""
     theta = _cell_positions(n_sites, (n_replicas,), rng)
-    return profile.conditional_sampler(theta, rng)
+    return profile.sample(theta, rng)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)

@@ -154,7 +154,6 @@ class Potential:
         z = float(_logsumexp(-raw + logw))
         self._check_doubling(phi, z)
         self.normalization_offset = z
-        self._raw_phi = phi
         self.phi_prime = phi_prime
         self.phi_double_prime = phi_double_prime
 
@@ -171,11 +170,7 @@ class Potential:
         self._chunks: dict[int, tuple | Exception] = {}
         self._cache_lock = threading.Lock()
 
-    # -- basic closures ------------------------------------------------
-
-    def phi(self, x):
-        """Normalized potential value."""
-        return np.asarray(self._raw_phi(x)) + self.normalization_offset
+    # -- curvature -----------------------------------------------------
 
     def max_phi_double_prime(self):
         """Max curvature over the probe range |x| <= 8, used by stability

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DegenerateEstimate
 from .particles import (ControlGrid, ProfileMeasure, SimConfig,
                         entropy_cost_of_profile, equilibrium_profile,
-                        simulate_replicas, stable_dt, tilted_profile)
+                        simulate_replicas, stable_dt, tilted_sine_profile)
 from .pde import DensityField, cfl_time_steps
 from .potential import Potential
 from .rate import rate
@@ -246,8 +246,7 @@ def steering_plan(pot: Potential, target: float, horizon: float,
     b0 = 2.0 * target * math.exp(-2.0 * math.pi ** 2 * horizon)
     # The profile's Legendre solve covers the initial slice's range, so it
     # raises wherever rate() found no finite initial entropy.
-    profile = tilted_profile(
-        pot, lambda th: b0 * np.sin(2.0 * np.pi * np.asarray(th)))
+    profile = tilted_sine_profile(pot, b0)
     if not decomp.feasible:
         raise RuntimeError("steering field unexpectedly infeasible")
     theta = np.arange(j_cells) / j_cells

@@ -16,7 +16,8 @@ from gllab import (CFLViolation, ControlGrid, DensityField, LatticeState,
                    equilibrium_profile, sample_initial_from_profile,
                    sample_initial_matrix, simulate_replicas,
                    simulate_trajectory, stable_dt, steering_plan,
-                   tilted_constant_profile, tilted_sine_profile)
+                   tilted_constant_profile, tilted_profile,
+                   tilted_sine_profile)
 from gllab import particles
 from gllab.particles import _cell_positions
 
@@ -157,14 +158,43 @@ def test_equilibrium_profile_moments(gaussian, rng):
     assert entropy_cost_of_profile(prof, 32) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_tilted_sine_profile_tracks_its_mean(gaussian, rng):
-    prof = tilted_sine_profile(gaussian, 0.8)
-    theta = np.full(20000, 0.25)
-    draws = prof.conditional_sampler(theta, rng)
-    se = 1.0 / math.sqrt(draws.size)
-    assert abs(draws.mean() - 0.8) < 5 * se           # sin(pi/2) = 1
+def test_tilted_sine_profile_tracks_its_mean(gaussian, quartic, rng):
+    n, (nodes, weights) = 64, np.polynomial.legendre.leggauss(8)
+    theta = (np.arange(n)[:, None] + 0.5 * (1.0 + nodes)) / n
+    for pot in (gaussian, quartic):
+        prof = tilted_sine_profile(pot, 0.8)
+        draws = prof.sample(np.full(20000, 0.25), rng)
+        se = draws.std() / math.sqrt(draws.size)
+        assert abs(draws.mean() - 0.8) < 5 * se           # sin(pi/2) = 1
+        # per-cell Gauss-Legendre of h(m0), with h solved at every node;
+        # the profile reads h off its 513-point table by linear
+        # interpolation, which is off by at most dm^2/8 max h''
+        # (h'' = 1/Var of the tilted law) at table spacing dm, plus the
+        # Legendre solves' round-off
+        h = pot.legendre_h_vec(0.8 * np.sin(2.0 * np.pi * theta.ravel()))[0]
+        direct = float(np.sum(h.reshape(theta.shape) @ weights) * 0.5 / n)
+        dm = prof.means[1] - prof.means[0]
+        bound = dm ** 2 / 8.0 / np.min(pot._tilted_stats(prof.tilts)[2])
+        cost = entropy_cost_of_profile(prof, n)
+        assert abs(cost - direct) <= bound + 1e-12
     # Gaussian entropy density h(m) = m^2/2 integrates to a^2/4
-    assert entropy_cost_of_profile(prof, 64) == pytest.approx(0.16, abs=1e-4)
+    assert entropy_cost_of_profile(tilted_sine_profile(gaussian, 0.8), n) \
+        == pytest.approx(0.16, abs=1e-4)
+
+
+def test_a_mean_outside_the_tilt_table_raises(gaussian, rng):
+    # the 512-point probe of m0 misses this bump's peak, so the table ends
+    # near m = 0.16; clamping the peak's mean 1 there would give an entropy
+    # density of 0.0124 in place of h(1) = 1/2
+    prof = tilted_profile(gaussian, lambda th: np.exp(
+        -((np.asarray(th) - 0.3001) / 0.0005) ** 2))
+    peak = np.array([0.2, 0.3001])
+    with pytest.raises(ValueError, match="outside its tilt table"):
+        prof.entropy_density(peak)
+    with pytest.raises(ValueError, match="outside its tilt table"):
+        prof.sample(peak, rng)
+    assert prof.means[-1] < 0.2
+    assert prof.entropy_density(peak[:1]) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_tilted_constant_profile(gaussian, rng):
