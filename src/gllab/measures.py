@@ -10,9 +10,8 @@ these give the Lipschitz bound for every pair).  ``bl_distance`` solves
 that finite LP without a solver, exact up to float rounding: by duality it
 is a weighted-L1 isotonic fit of the cumulative weights (see
 ``bl_distance``), found in O(m log m) time and O(m) memory, with no atom
-cap.  Path distance is the max over shared snapshot times, solved only at
-snapshots whose closed-form bound (``_bl_bound``, exact at zero net mass)
-can set it.  No code path imports scipy.
+cap.  Path distance is the max of those exact distances over shared
+snapshot times.  No code path imports scipy.
 """
 
 from __future__ import annotations
@@ -46,10 +45,6 @@ class AtomicSignedMeasure:
             raise ValueError("locations must lie in [0, 1)")
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("weights must be finite")
-
-    @property
-    def n_atoms(self) -> int:
-        return self.locations.size
 
     def pair(self, test_function: Callable) -> float:
         """Integral of the test function against this measure."""
@@ -148,8 +143,7 @@ def bl_distance(mu1: AtomicSignedMeasure, mu2: AtomicSignedMeasure) -> float:
       at s_k, P_k and both minus eps; its least value is where its slope,
       a sum of steps at those points, first turns non-negative.
 
-    At eps = 0 this is the circle's W1 distance, which ``_bl_bound`` gives
-    in closed form.  No m x m array is formed.
+    At eps = 0 this is the circle's W1 distance.  No m x m array is formed.
     """
     c, d = _net(mu1, mu2)
     if c.size < 2:
@@ -170,27 +164,6 @@ def bl_distance(mu1: AtomicSignedMeasure, mu2: AtomicSignedMeasure) -> float:
     slope = np.cumsum(jump[order]) - np.sum(d)
     a = at[order[np.argmax(slope >= 0.0)]]
     return eps + float(np.sum(d * np.abs(np.clip(s, a, a + eps) - p)))
-
-
-def _bl_bound(mu1: AtomicSignedMeasure, mu2: AtomicSignedMeasure):
-    """Closed-form bound on ``bl_distance``, and a pad for float rounding.
-
-    With eps = sum c and F = cumsum(c) - eps, summation by parts gives
-    sum c_k f_k <= |eps| + sum d_k |F_k - s| for every s, least at a
-    d-weighted median of F; this is ``bl_distance``'s dual with s held
-    constant, so it is exact at eps = 0.  The box gives sum |c|.  The two
-    closed forms round differently; the pad 1e-6 m sum |c| is far above
-    that rounding (about 1e-16 m sum |c|), so the padded bound never falls
-    below the distance."""
-    c, d = _net(mu1, mu2)
-    tv = float(np.sum(np.abs(c)))
-    if c.size < 2:
-        return tv, 0.0
-    f = np.cumsum(c) - np.sum(c)
-    order = np.argsort(f)
-    s = f[order[np.searchsorted(np.cumsum(d[order]), 0.5 * np.sum(d))]]
-    bound = min(tv, abs(float(np.sum(c))) + float(np.sum(d * np.abs(f - s))))
-    return bound, 1e-6 * c.size * tv
 
 
 @dataclass(frozen=True)
@@ -223,20 +196,12 @@ def path_from_density_slices(times, slices, n_atoms: int) -> MeasurePath:
 
 
 def d_star(path1: MeasurePath, path2: MeasurePath) -> float:
-    """Uniform-in-time bounded-Lipschitz distance over shared snapshots.
-    ``bl_distance`` runs in descending order of the padded ``_bl_bound``s
-    until one is below the largest distance so far, which is the max."""
+    """Uniform-in-time bounded-Lipschitz distance over shared snapshots."""
     if path1.sample_times.size != path2.sample_times.size or \
             not np.allclose(path1.sample_times, path2.sample_times,
                             rtol=0.0, atol=1e-12):
         raise TimeGridMismatch("paths do not share a snapshot grid")
     if not path1.snapshots:
         raise ValueError("paths have no snapshots")
-    pairs = list(zip(path1.snapshots, path2.snapshots))
-    ceilings = [sum(_bl_bound(a, b)) for a, b in pairs]
-    best = -np.inf
-    for k in np.argsort(ceilings)[::-1]:
-        if ceilings[k] < best:
-            break
-        best = max(best, bl_distance(*pairs[k]))
-    return best
+    return max(bl_distance(a, b)
+               for a, b in zip(path1.snapshots, path2.snapshots))

@@ -84,7 +84,9 @@ class SimConfig:
                 f"N={self.n_sites})")
 
     def n_steps(self) -> int:
-        return max(1, int(round(self.horizon / self.dt)))
+        """Fewest equal steps spanning the horizon, none longer than dt
+        (to within the 1e-12 that ``validate_stability`` allows)."""
+        return max(1, math.ceil(self.horizon / self.dt * (1 - 1e-12)))
 
 
 def stable_dt(pot: Potential, n_sites: int) -> float:

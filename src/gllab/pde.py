@@ -84,10 +84,6 @@ class DensityField:
     def times(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.dt
 
-    def masses(self) -> np.ndarray:
-        """Cell-average integral at every time level."""
-        return self.values.mean(axis=1)
-
     def slice_at(self, t: float) -> np.ndarray:
         k = int(round(t / self.dt))
         return self.values[min(max(k, 0), self.n_steps)]
@@ -209,6 +205,8 @@ def _plan(pot: Potential, m0, u, horizon, j_cells, n_steps):
     m, table = _resolve_grid(pot, m0, j_cells)
     if n_steps is None:
         n_steps = max(1, int(math.ceil(horizon / _stable_dt(table, m.size))))
+    if n_steps < 1:
+        raise ValueError(f"n_steps={n_steps} must be at least 1")
     return table, m, [] if u is None else [u], horizon, n_steps
 
 

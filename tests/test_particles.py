@@ -64,6 +64,19 @@ def test_stable_dt_formula(gaussian):
     assert stable_dt(gaussian, 10) == pytest.approx(0.1 / 100)
 
 
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 4096), horizon=st.floats(1e-6, 10.0),
+       dt=st.floats(1e-6, 10.0))
+@example(n=4, horizon=1.4, dt=1.0)
+@example(n=3, horizon=0.025, dt=0.1 / 9)   # gllab simulate's default dt
+def test_no_step_is_longer_than_dt(n, horizon, dt):
+    # the engine steps horizon / n_steps(), while validate_stability
+    # checks dt: a longer step would pass the stability limit unchecked
+    steps = SimConfig(n, horizon, dt).n_steps()
+    assert horizon / steps <= dt * (1 + 1e-12)
+    assert steps == 1 or horizon / (steps - 1) > dt
+
+
 def test_girsanov_weight_is_normalized(gaussian):
     # E[exp(log dP/dPbar)] = 1 under the controlled law, exactly per step
     n, c, horizon = 4, 0.7, 0.2

@@ -54,7 +54,7 @@ def test_mass_is_conserved_under_control(gaussian, rng):
         j_cells=j, horizon=0.03)
     m0 = 0.5 + 0.3 * np.cos(2.0 * np.pi * np.arange(j) / j)
     field = solve_controlled_pde(gaussian, m0, u, horizon=0.03, j_cells=j)
-    masses = field.masses()
+    masses = field.values.mean(axis=1)
     assert np.max(np.abs(masses - masses[0])) < 1e-13
 
 
@@ -72,9 +72,12 @@ def test_a_control_fixes_the_grid_and_the_step_count_is_honoured(gaussian):
     assert np.array_equal(solve_controlled_pde(
         gaussian, _sine(j), u, horizon=horizon, j_cells=j).values,
         solve_controlled_pde(gaussian, _sine(j), u).values)
-    # a horizon or j_cells that disagrees with the control is an error
+    # a horizon or j_cells that disagrees with the control is an error,
+    # as is a step count below one
     for kwargs, name in ((dict(horizon=5.0), "horizon=5.0"),
-                         (dict(j_cells=99), "j_cells=99")):
+                         (dict(j_cells=99), "j_cells=99"),
+                         (dict(n_steps=0), "n_steps=0"),
+                         (dict(n_steps=-3), "n_steps=-3")):
         with pytest.raises(ValueError, match=name):
             solve_controlled_pde(gaussian, _sine(j), u, **kwargs)
         with pytest.raises(ValueError, match=name):
@@ -246,7 +249,7 @@ def test_quartic_solve_stays_bounded(quartic):
     m0 = 0.6 * np.sin(2.0 * np.pi * np.arange(j) / j)
     field = solve_controlled_pde(quartic, m0, horizon=0.02, j_cells=j)
     assert np.max(np.abs(field.values)) <= 0.6 + 1e-9
-    masses = field.masses()
+    masses = field.values.mean(axis=1)
     assert np.max(np.abs(masses - masses[0])) < 1e-13
 
 
