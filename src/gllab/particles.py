@@ -263,8 +263,10 @@ def _run(pot: Potential, config: SimConfig, charges: np.ndarray,
     logw = np.zeros(m)
     cost = np.zeros(m)
     x = np.array(charges, dtype=float, order="C")
-    dz, db, dlogw = np.empty((m, n)), np.empty((m, n)), np.empty(m)
-    psi_dt, psi_sqdt, last = np.empty((m, n)), np.empty((m, n)), np.empty(m)
+    dz, db = np.empty((m, n)), np.empty((m, n))
+    dlogw, last = np.empty(m), np.empty(m)
+    if control is not None:     # uncontrolled runs never read these two
+        psi_dt, psi_sqdt = np.empty((m, n)), np.empty((m, n))
     finite = np.empty((m, n), dtype=bool)
     # a site shift is one op on the flat views; row seams are redone after
     xf, dzf = x.reshape(-1), dz.reshape(-1)
@@ -412,7 +414,9 @@ class ProfileMeasure:
 
     ``means`` is an increasing grid with its tilts lam*(m) and entropies
     h(m), read by linear interpolation; a mean outside it raises
-    ValueError.  A point mass has no table, no sampler and entropy +inf.
+    ValueError.  Its sampler keeps the table's tilt range but no CDF rows:
+    each draw builds the rows it reads and drops them when it returns.  A
+    point mass has no table, no sampler and entropy +inf.
     Site i realizes the cell average over ((i-1)/N, i/N] exactly, by
     drawing theta uniformly in the cell first.
     """
@@ -446,7 +450,8 @@ class ProfileMeasure:
 
 def equilibrium_profile(pot: Potential) -> ProfileMeasure:
     """Every site starts from the reference density itself: the zero tilt
-    at the reference mean rho'(0), on the one-row sampler."""
+    at the reference mean rho'(0), on the one-row sampler, whose row each
+    draw builds."""
     m_eq = float(pot._tilted_stats(0.0)[1])
     return ProfileMeasure(lambda theta: np.full(np.shape(theta), m_eq),
                           np.array([m_eq]), np.zeros(1), np.zeros(1),

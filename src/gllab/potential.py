@@ -131,7 +131,7 @@ class Potential:
     Instances are safe to share across threads.  Their only mutable state
     is two caches of deterministic results, filled under one lock: the
     tilted-sampling CDFs (``_tilt_tables``, weakly held, so a row lives
-    while some sampler holds it) and the envelope chunks (``_chunks``, see
+    while some draw holds it) and the envelope chunks (``_chunks``, see
     :meth:`_envelope`); two threads computing one key store equal values.
     No method keeps scratch state: kernels allocate buffers per call.
     """
@@ -369,9 +369,9 @@ class Potential:
     # -- tilted sampling -------------------------------------------------
 
     def _tilt_cdf(self, lam):
-        """Tabulated CDF of the lam-tilted density on the grid, cached for
-        as long as some caller holds it."""
-        key = float(np.round(lam, 12))
+        """Tabulated CDF of the lam-tilted density on the grid, cached under
+        the exact tilt for as long as some caller holds it."""
+        key = float(lam)
         table = self._tilt_tables.get(key)
         if table is None:
             g = lam * self._y - self._phi_grid
@@ -409,7 +409,11 @@ class TiltedFamilySampler:
     tabulated tilt values the inverse CDF is interpolated linearly.  Used
     by profile samplers where the tilt varies from draw to draw: per-draw
     table construction would be quadratic in the batch size, while here
-    draws group by bracketing table row.
+    draws group by bracketing table row.  The sampler keeps the tilts but
+    no rows: a draw builds each row it reads as its sweep reaches it, so
+    it holds two rows at a time, and the sampler none between draws.
+    Construction builds, tail-checks and drops the two end rows, so a
+    family that cannot be sampled fails there, not mid-draw.
     """
 
     def __init__(self, pot: Potential, lam_min: float, lam_max: float):
@@ -424,27 +428,36 @@ class TiltedFamilySampler:
         else:
             self._lams = np.linspace(self._lam_min, self._lam_max,
                                      FAMILY_TILTS)
-        # the potential's cached rows themselves, not a copy
-        self._cdfs = [pot._tilt_cdf(l) for l in self._lams]
+        for end in np.unique(self._lams[[0, -1]]):
+            pot._tilt_cdf(end)
 
     def sample(self, lam, rng):
         """Draw one sample per entry of lam (array-valued tilt)."""
         lam = np.asarray(lam, dtype=float)
         u = rng.random(lam.shape)
-        y = self._pot._y
+        pot, y = self._pot, self._pot._y
         if self._lams.size == 1:
-            return np.interp(u, self._cdfs[0], y)
+            return np.interp(u, pot._tilt_cdf(self._lams[0]), y)
         dl = self._lams[1] - self._lams[0]
-        pos = np.clip((lam - self._lams[0]) / dl, 0.0, self._lams.size - 1 - 1e-12)
-        idx = pos.astype(int)
-        frac = pos - idx
-        out = np.empty(lam.shape)
-        for k in np.unique(idx):
-            mask = idx == k
-            lo = np.interp(u[mask], self._cdfs[k], y)
-            hi = np.interp(u[mask], self._cdfs[k + 1], y)
-            out[mask] = (1.0 - frac[mask]) * lo + frac[mask] * hi
-        return out
+        frac = np.clip((lam.ravel() - self._lams[0]) / dl, 0.0,
+                       self._lams.size - 1 - 1e-12)
+        idx = frac.astype(int)
+        frac -= idx
+        u, out = u.ravel(), np.empty(idx.size)
+        # one sort groups the sites by row; the sweep then visits the rows
+        # in order, and row k + 1 of one group is the next group's row k
+        order = np.argsort(idx, kind="stable")
+        groups = np.split(order, np.cumsum(np.bincount(idx))[:-1])
+        top, upper = -1, None
+        for k, sites in enumerate(groups):
+            if sites.size == 0:
+                continue
+            lower = upper if k == top else pot._tilt_cdf(self._lams[k])
+            top, upper = k + 1, pot._tilt_cdf(self._lams[k + 1])
+            lo = np.interp(u[sites], lower, y)
+            hi = np.interp(u[sites], upper, y)
+            out[sites] = (1.0 - frac[sites]) * lo + frac[sites] * hi
+        return out.reshape(lam.shape)
 
 
 class EnvelopeTable:

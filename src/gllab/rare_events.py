@@ -213,9 +213,9 @@ def sine_target_field(target: float, horizon: float, j_cells: int = 64,
 
 @dataclass(frozen=True)
 class SteeringPlan:
-    """A deviation path with its minimal control and initial profile."""
+    """A deviation path's minimal control, initial profile, limit pairing
+    and total rate."""
 
-    field: DensityField
     control_grid: ControlGrid
     profile: ProfileMeasure
     limit_pairing: np.ndarray     # pairing path of the limit field
@@ -252,7 +252,7 @@ def steering_plan(pot: Potential, target: float, horizon: float,
     theta = np.arange(j_cells) / j_cells
     jv = np.asarray(test_function(theta), dtype=float)
     limit_pairing = field.values @ jv / j_cells
-    return SteeringPlan(field, decomp.minimal_control, profile,
+    return SteeringPlan(decomp.minimal_control, profile,
                         limit_pairing, decomp.total)
 
 

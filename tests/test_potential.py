@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,7 +26,8 @@ from scipy.special import logsumexp
 import gllab
 from gllab import (EnvelopeTable, Potential, QuadratureSpec,
                    QuadratureDiverged, RootNotBracketed,
-                   TiltedFamilySampler, gaussian_potential, quartic_potential)
+                   TiltedFamilySampler, gaussian_potential, quartic_potential,
+                   sample_initial_matrix, tilted_sine_profile)
 from gllab import potential as potential_mod
 
 
@@ -271,17 +273,121 @@ def test_family_sampler_matches_per_tilt_sampler(gaussian, rng):
         assert abs(row.var() - 1.0) < 6 * se
 
 
-def test_samplers_share_the_cached_cdf_rows():
-    # two samplers over one tilt range hold the cache's arrays, not
-    # copies, so the cache marks them read-only
+def _held_row_sample(pot, lams, lam, rng):
+    """``TiltedFamilySampler.sample`` as written when a sampler held all
+    its rows: one ``idx == k`` mask pass over every site per row."""
+    cdfs = [pot._tilt_cdf(l) for l in lams]
+    lam = np.asarray(lam, dtype=float)
+    u = rng.random(lam.shape)
+    y = pot._y
+    if lams.size == 1:
+        return np.interp(u, cdfs[0], y)
+    dl = lams[1] - lams[0]
+    pos = np.clip((lam - lams[0]) / dl, 0.0, lams.size - 1 - 1e-12)
+    idx = pos.astype(int)
+    frac = pos - idx
+    out = np.empty(lam.shape)
+    for k in np.unique(idx):
+        mask = idx == k
+        lo = np.interp(u[mask], cdfs[k], y)
+        hi = np.interp(u[mask], cdfs[k + 1], y)
+        out[mask] = (1.0 - frac[mask]) * lo + frac[mask] * hi
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(quartic_pot=st.booleans(), lam_min=st.floats(-2.0, 1.0),
+       width=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+       m=st.integers(1, 40), n=st.integers(1, 40), flat=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(quartic_pot=False, lam_min=-0.5, width=1.0, m=1, n=1, flat=True,
+         seed=0)
+@example(quartic_pot=True, lam_min=0.0, width=0.0, m=1, n=1, flat=False,
+         seed=0)
+def test_sorted_sweep_matches_the_held_row_sampler(gaussian, quartic,
+                                                   quartic_pot, lam_min,
+                                                   width, m, n, flat, seed):
+    # bit for bit, the generator's final state included, for one-row and
+    # 129-row samplers, with tilts inside and just outside the grid
+    pot = quartic if quartic_pot else gaussian
+    sampler = TiltedFamilySampler(pot, lam_min, lam_min + width)
+    assert sampler._lams.size in (1, potential_mod.FAMILY_TILTS)
+    shape = (m * n,) if flat else (m, n)
+    lam = lam_min + width * np.random.default_rng(seed).uniform(
+        -0.1, 1.1, shape)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    draws = sampler.sample(lam, rng)
+    ref = _held_row_sample(pot, sampler._lams, lam, ref_rng)
+    assert draws.shape == shape
+    assert draws.tobytes() == ref.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_a_draw_builds_each_row_it_reads_once(monkeypatch):
+    # groups on rows 3, 4, 10 and 127 read rows 3-5, 10-11 and 127-128:
+    # row 4 is carried from group 3 to group 4, the rest are built as the
+    # sweep reaches them, in order, and the sampler keeps none of them
     pot = gaussian_potential()
-    first = TiltedFamilySampler(pot, -0.5, 0.5)
-    second = TiltedFamilySampler(pot, -0.5, 0.5)
-    assert len(first._cdfs) == potential_mod.FAMILY_TILTS
-    for lam, row, other in zip(first._lams, first._cdfs, second._cdfs):
-        assert row is other
-        assert row is pot._tilt_tables[float(np.round(lam, 12))]
+    sampler = TiltedFamilySampler(pot, -0.5, 0.5)
+    assert len(pot._tilt_tables) == 0
+    lams = sampler._lams
+    mids = lams[[3, 4, 10, 127]] + 0.5 * (lams[1] - lams[0])
+    tilts = np.random.default_rng(2).permutation(np.repeat(mids, 50))
+    built = []
+    build = pot._tilt_cdf
+
+    def counted(lam):
+        row = build(lam)
         assert not row.flags.writeable
+        built.append(lam)
+        return row
+
+    monkeypatch.setattr(pot, "_tilt_cdf", counted)
+    sampler.sample(tilts.reshape(10, 20), np.random.default_rng(3))
+    assert built == list(lams[[3, 4, 5, 10, 11, 127, 128]])
+    assert len(pot._tilt_tables) == 0
+
+
+def test_an_unsampleable_end_tilt_raises_at_construction(gaussian):
+    # the N(11, 1) tilt puts mass on the window's edge at 12
+    for lo, hi in ((0.0, 11.0), (-11.0, 0.0), (11.0, 11.0)):
+        with pytest.raises(QuadratureDiverged, match="tilt table"):
+            TiltedFamilySampler(gaussian, lo, hi)
+
+
+def test_a_tilted_draw_peaks_below_one_profile_of_rows():
+    # the sampler holds no rows and a draw holds two: building a profile
+    # and drawing (1000, 32) from it stays below one profile's 129 rows
+    pot = gaussian_potential()
+    one_profile = (potential_mod.FAMILY_TILTS * pot.quadrature.node_count
+                   * 8)
+    tracemalloc.start()
+    try:
+        profile = tilted_sine_profile(pot, 0.8)
+        sample_initial_matrix(profile, 32, 1000, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * one_profile
+    gc.collect()
+    assert profile.sampler is not None and len(pot._tilt_tables) == 0
+
+
+def test_tilts_equal_to_12_decimals_keep_their_own_rows():
+    # the two profiles' middle tilts are -3.3e-16 and 2.2e-16: while a row
+    # for one is alive, as during its draw, the other still gets its own
+    pot = quartic_potential(1.0, 1.0)
+    first = tilted_sine_profile(pot, 0.2)
+    second = tilted_sine_profile(pot, 0.8)
+    mids = [p.sampler._lams[64] for p in (first, second)]
+    assert mids[0] != mids[1] and round(mids[0], 12) == round(mids[1], 12)
+    for amp, profile, other in ((0.2, first, 1), (0.8, second, 0)):
+        held = pot._tilt_cdf(mids[other])
+        fresh = tilted_sine_profile(quartic_potential(1.0, 1.0), amp)
+        draws = [sample_initial_matrix(p, 32, 1000, np.random.default_rng(4))
+                 for p in (profile, fresh)]
+        assert draws[0].tobytes() == draws[1].tobytes()
+        assert held is pot._tilt_cdf(mids[other])
 
 
 CAP = potential_mod.BRACKET_CAP
@@ -529,7 +635,7 @@ def test_caches_are_bounded():
     pot = gaussian_potential()
     # a tilt-CDF row stays cached only while something holds it
     lams = np.linspace(-1.0, 1.0, 10)
-    keys = [float(np.round(lam, 12)) for lam in lams]
+    keys = [float(lam) for lam in lams]
     cdfs = [pot._tilt_cdf(lam) for lam in lams]
     assert sorted(pot._tilt_tables) == keys
     dropped = [cdf.tobytes() for cdf in cdfs]
