@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CFLViolation, NonFiniteState
-from .potential import Potential, TiltedFamilySampler
+from .potential import Potential, TiltedFamilySampler, uniforms
 
 DEFAULT_STABILITY_SAFETY = 0.1
 
@@ -493,7 +493,7 @@ def deterministic_profile(mean_fn: Callable) -> ProfileMeasure:
 def _cell_positions(n_sites: int, shape, rng: np.random.Generator):
     """theta drawn uniformly in ((i-1)/N, i/N] for each site i."""
     i = np.arange(1, n_sites + 1, dtype=float)
-    u = rng.random(shape + (n_sites,))
+    u = uniforms(rng, shape + (n_sites,))
     return (i - u) / n_sites
 
 
@@ -506,7 +506,8 @@ def sample_initial_from_profile(profile: ProfileMeasure, n_sites: int,
 def sample_initial_matrix(profile: ProfileMeasure, n_sites: int,
                           n_replicas: int,
                           rng: np.random.Generator) -> np.ndarray:
-    """(n_replicas, n_sites) matrix of independent initial draws."""
+    """(n_replicas, n_sites) matrix of independent initial draws, from
+    one Generator or, row r, from ``rng[r]`` alone."""
     theta = _cell_positions(n_sites, (n_replicas,), rng)
     return profile.sample(theta, rng)
 
@@ -551,13 +552,9 @@ def simulate_replicas(pot: Potential, config: SimConfig,
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    if hasattr(rng, "standard_normal"):
-        charges = sample_initial_matrix(profile, config.n_sites, n_replicas,
-                                        rng)
-    elif len(rng) == n_replicas:
-        charges = np.concatenate([sample_initial_matrix(
-            profile, config.n_sites, 1, gen) for gen in rng])
-    else:
+    if not hasattr(rng, "standard_normal") and len(rng) != n_replicas:
         raise ValueError("need one generator per replica")
+    # one draw for the batch, so a tilted profile's rows are built once
+    charges = sample_initial_matrix(profile, config.n_sites, n_replicas, rng)
     return _run(pot, config, charges, control, sample_times, rng,
                 pairing_functions, record_states)

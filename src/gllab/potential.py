@@ -402,6 +402,14 @@ class Potential:
         return float(w @ clipped)
 
 
+def uniforms(rng, shape):
+    """``rng.random(shape)``; given one generator per leading row instead,
+    row r is drawn from ``rng[r]`` alone."""
+    if hasattr(rng, "random"):
+        return rng.random(shape)
+    return np.stack([gen.random(shape[1:]) for gen in rng]).reshape(shape)
+
+
 class TiltedFamilySampler:
     """Vectorized sampler for a whole family of tilted densities.
 
@@ -411,7 +419,9 @@ class TiltedFamilySampler:
     table construction would be quadratic in the batch size, while here
     draws group by bracketing table row.  The sampler keeps the tilts but
     no rows: a draw builds each row it reads as its sweep reaches it, so
-    it holds two rows at a time, and the sampler none between draws.
+    it holds at most three rows at a time, and the sampler none between
+    draws.  With one generator per row of tilts, the whole batch is still
+    one draw, so a batch builds each row once, not once per replica.
     Construction builds, tail-checks and drops the two end rows, so a
     family that cannot be sampled fails there, not mid-draw.
     """
@@ -432,9 +442,10 @@ class TiltedFamilySampler:
             pot._tilt_cdf(end)
 
     def sample(self, lam, rng):
-        """Draw one sample per entry of lam (array-valued tilt)."""
+        """Draw one sample per entry of lam (array-valued tilt), in one
+        sweep, also when each row of lam has its own generator."""
         lam = np.asarray(lam, dtype=float)
-        u = rng.random(lam.shape)
+        u = uniforms(rng, lam.shape)
         pot, y = self._pot, self._pot._y
         if self._lams.size == 1:
             return np.interp(u, pot._tilt_cdf(self._lams[0]), y)
@@ -446,14 +457,14 @@ class TiltedFamilySampler:
         u, out = u.ravel(), np.empty(idx.size)
         # one sort groups the sites by row; the sweep then visits the rows
         # in order, and row k + 1 of one group is the next group's row k
+        # (the cache finds it while the previous group's upper is held)
         order = np.argsort(idx, kind="stable")
         groups = np.split(order, np.cumsum(np.bincount(idx))[:-1])
-        top, upper = -1, None
         for k, sites in enumerate(groups):
             if sites.size == 0:
                 continue
-            lower = upper if k == top else pot._tilt_cdf(self._lams[k])
-            top, upper = k + 1, pot._tilt_cdf(self._lams[k + 1])
+            lower = pot._tilt_cdf(self._lams[k])
+            upper = pot._tilt_cdf(self._lams[k + 1])
             lo = np.interp(u[sites], lower, y)
             hi = np.interp(u[sites], upper, y)
             out[sites] = (1.0 - frac[sites]) * lo + frac[sites] * hi

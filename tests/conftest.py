@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -18,3 +20,20 @@ def quartic():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture()
+def tilt_builds():
+    """``record(pot)``: a list that gets the tilt of each CDF row ``pot``
+    builds from then on, i.e. each miss of its tilt-CDF cache."""
+    def record(pot):
+        built = []
+
+        class Recording(weakref.WeakValueDictionary):
+            def setdefault(self, key, default=None):
+                built.append(key)
+                return super().setdefault(key, default)
+
+        pot._tilt_tables = Recording(pot._tilt_tables)
+        return built
+    return record

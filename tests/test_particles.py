@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from gllab import (CFLViolation, ControlGrid, DensityField, LatticeState,
                    NonFiniteState, SimConfig, TrajectoryRecord,
                    deterministic_profile, entropy_cost_of_profile,
-                   equilibrium_profile, sample_initial_from_profile,
-                   sample_initial_matrix, simulate_replicas,
-                   simulate_trajectory, stable_dt, steering_plan,
-                   tilted_constant_profile, tilted_profile,
+                   equilibrium_profile, quartic_potential,
+                   sample_initial_from_profile, sample_initial_matrix,
+                   simulate_replicas, simulate_trajectory, stable_dt,
+                   steering_plan, tilted_constant_profile, tilted_profile,
                    tilted_sine_profile)
 from gllab import particles
 from gllab.particles import _cell_positions
@@ -529,6 +529,26 @@ def test_per_row_streams_match_serial_trajectories(gaussian, n, replicas,
         assert one.girsanov_log_weight == rec.girsanov_log_weight
         assert one.control_cost == rec.control_cost
         assert rngs[r].bit_generator.state == rng.bit_generator.state
+
+
+def test_per_row_streams_draw_a_tilted_profile_in_one_sweep(tilt_builds):
+    # eight generators, one draw: each row is built once for the batch,
+    # and replica r starts where a draw from rng[r] alone starts
+    pot = quartic_potential(1.0, 1.0)
+    profile = tilted_sine_profile(pot, 0.8)
+    dt = stable_dt(pot, 32)
+    cfg = SimConfig(32, dt, dt)
+    children = np.random.SeedSequence(5).spawn(8)
+    built = tilt_builds(pot)
+    batch = simulate_replicas(pot, cfg, profile, 8, sample_times=[0.0],
+                              record_states=True,
+                              rng=[np.random.default_rng(c) for c in children])
+    assert len(built) == len(set(built)) > 2
+    for r, child in enumerate(children):
+        alone = sample_initial_from_profile(profile, 32,
+                                            np.random.default_rng(child))
+        assert batch.trajectory(r).states[0].tobytes() == \
+            alone.charges.tobytes()
 
 
 def test_per_row_streams_need_one_generator_per_row(gaussian):

@@ -323,28 +323,19 @@ def test_sorted_sweep_matches_the_held_row_sampler(gaussian, quartic,
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_a_draw_builds_each_row_it_reads_once(monkeypatch):
+def test_a_draw_builds_each_row_it_reads_once(tilt_builds):
     # groups on rows 3, 4, 10 and 127 read rows 3-5, 10-11 and 127-128:
-    # row 4 is carried from group 3 to group 4, the rest are built as the
-    # sweep reaches them, in order, and the sampler keeps none of them
+    # row 4 is still held from group 3 when group 4 reads it, the rest are
+    # built as the sweep reaches them, in order, and the sampler keeps none
     pot = gaussian_potential()
     sampler = TiltedFamilySampler(pot, -0.5, 0.5)
     assert len(pot._tilt_tables) == 0
     lams = sampler._lams
     mids = lams[[3, 4, 10, 127]] + 0.5 * (lams[1] - lams[0])
     tilts = np.random.default_rng(2).permutation(np.repeat(mids, 50))
-    built = []
-    build = pot._tilt_cdf
-
-    def counted(lam):
-        row = build(lam)
-        assert not row.flags.writeable
-        built.append(lam)
-        return row
-
-    monkeypatch.setattr(pot, "_tilt_cdf", counted)
+    built = tilt_builds(pot)
     sampler.sample(tilts.reshape(10, 20), np.random.default_rng(3))
-    assert built == list(lams[[3, 4, 5, 10, 11, 127, 128]])
+    assert built == [float(lam) for lam in lams[[3, 4, 5, 10, 11, 127, 128]]]
     assert len(pot._tilt_tables) == 0
 
 
@@ -356,7 +347,7 @@ def test_an_unsampleable_end_tilt_raises_at_construction(gaussian):
 
 
 def test_a_tilted_draw_peaks_below_one_profile_of_rows():
-    # the sampler holds no rows and a draw holds two: building a profile
+    # the sampler holds no rows and a draw at most three: building a profile
     # and drawing (1000, 32) from it stays below one profile's 129 rows
     pot = gaussian_potential()
     one_profile = (potential_mod.FAMILY_TILTS * pot.quadrature.node_count

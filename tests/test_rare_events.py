@@ -312,7 +312,7 @@ def test_trend_study_matches_the_size_major_order(gaussian, workers):
 
 def test_trend_study_memory_does_not_grow_with_the_family():
     # the study keeps one member's tilted profile alive at a time, a
-    # profile holds no CDF rows, and a draw holds two: after a warm-up
+    # profile holds no CDF rows, and a draw at most three: after a warm-up
     # call has built the envelope chunks, a study peaks well below one
     # profile's 129 rows however many targets it has
     fun = _quadratic_functional(center=0.2, bound=16.0)
